@@ -7,6 +7,7 @@ from .errors import (
     DeltaIsOne,
     DivisionByZero,
     ElimkitError,
+    IdentityFailed,
     NonHomogeneous,
     NotDivisible,
     NotGeneric,

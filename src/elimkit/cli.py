@@ -20,7 +20,9 @@ is missing or "-") and print canonical JSON: terms in descending graded
 lex order, exact coefficient strings.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 precondition violation, 4 internal (perturbation budget exhausted).
+3 precondition violation, 4 internal (an identity the theory guarantees
+failed, or more perturbation samples failed than their denominator's
+degree allows).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .disc_points import (
     disc_points_degree,
     total_degree,
 )
-from .errors import ElimkitError, PerturbationDegenerate, UnknownSuite
+from .errors import ElimkitError, IdentityFailed, PerturbationDegenerate, UnknownSuite
 from .jacobian import jac_full, jac_minor
 from .mertens import mertens_first, mertens_second
 from .mpoly import (
@@ -280,7 +282,7 @@ def guarded(fn):
             return fn(*args, **kwargs)
         except DocumentError as exc:
             _fail(exc, 2)
-        except PerturbationDegenerate as exc:
+        except (IdentityFailed, PerturbationDegenerate) as exc:
             _fail(exc, 4)
         except ElimkitError as exc:
             _fail(exc, 3)
@@ -336,14 +338,12 @@ def cmd_res(document, fmt):
 @main.command("disc-points")
 @doc_argument
 @fmt_option
-@click.option("--budget", type=int, default=8, help="perturbation retries")
-@click.option("--seed", type=int, default=0)
 @guarded
-def cmd_disc_points(document, fmt, budget, seed):
+def cmd_disc_points(document, fmt):
     """Discriminant of n-1 forms in n variables."""
     ring, nvars, variables, fs = system_from_json(_read_document(document))
     sig = _signature_for(fs, nvars, nvars - 1)
-    out = disc_points(fs, sig, budget=budget, seed=seed)
+    out = disc_points(fs, sig)
     _print(element_to_json(out), fmt)
 
 
@@ -759,7 +759,7 @@ def _check_hyper_bar_product(rng, trials):
     ext, fs = generic_system(DegreeSignature(2, (3,)))
     try:
         disc_times_bar(fs[0])
-    except AssertionError:
+    except IdentityFailed:
         return "fail", {"case": "generic binary cubic"}
     return "pass", None
 

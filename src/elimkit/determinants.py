@@ -78,41 +78,37 @@ def strip_single_entries(sparse_rows, ncols, ring):
     """
     rows_alive = list(range(len(sparse_rows)))
     cols_alive = list(range(ncols))
-    col_count = {}
-    for r in sparse_rows:
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
+    live_cols = set(cols_alive)
     factor = rg.val_one(ring)
     sign = 1
+
+    def peel(r, c):
+        nonlocal factor, sign
+        if (rows_alive.index(r) + cols_alive.index(c)) % 2:
+            sign = -sign
+        factor = rg.val_mul(ring, factor, sparse_rows[r][c])
+        rows_alive.remove(r)
+        cols_alive.remove(c)
+        live_cols.discard(c)
+
     changed = True
     while changed and rows_alive:
         changed = False
         for r in list(rows_alive):
-            live = [c for c in sparse_rows[r] if c in set(cols_alive)]
+            live = [c for c in sparse_rows[r] if c in live_cols]
             if len(live) == 1:
-                c = live[0]
-                p, q = rows_alive.index(r), cols_alive.index(c)
-                sign *= -1 if (p + q) % 2 else 1
-                factor = rg.val_mul(ring, factor, sparse_rows[r][c])
-                rows_alive.remove(r)
-                cols_alive.remove(c)
+                peel(r, live[0])
                 changed = True
         # columns with a single live entry
         if rows_alive:
-            live_cols = set(cols_alive)
             usage = {c: [] for c in cols_alive}
             for r in rows_alive:
                 for c in sparse_rows[r]:
                     if c in live_cols:
                         usage[c].append(r)
             for c, rs in usage.items():
-                if len(rs) == 1 and c in cols_alive and rs[0] in rows_alive:
-                    r = rs[0]
-                    p, q = rows_alive.index(r), cols_alive.index(c)
-                    sign *= -1 if (p + q) % 2 else 1
-                    factor = rg.val_mul(ring, factor, sparse_rows[r][c])
-                    rows_alive.remove(r)
-                    cols_alive.remove(c)
+                if len(rs) == 1 and c in live_cols and rs[0] in rows_alive:
+                    peel(rs[0], c)
                     changed = True
     return factor, sign, rows_alive, cols_alive
 

@@ -11,6 +11,7 @@ from . import ring as rg
 from .determinants import det_bareiss
 from .errors import (
     DegreeTooLow,
+    IdentityFailed,
     NonHomogeneous,
     NotGeneric,
     NotQuadratic,
@@ -22,9 +23,9 @@ from .mpoly import (
     generic_system,
     is_homogeneous,
     isobaric_part,
-    lift_poly,
     parse_generic_name,
     partial_derivative,
+    via_lift,
     weight_valuation,
     zariski_weight_vector,
 )
@@ -75,16 +76,11 @@ def disc_hyper(f):
     """Res of the n partial derivatives, divided by d^{a(n,d)}."""
     d = _degree_of(f)
     n = f.nvars
-    ring = f.ring
-    modular = rg.scalar_base(ring).kind == rg.MODULAR
-    work = lift_poly(f) if modular else f
-    partials = [partial_derivative(work, i) for i in range(1, n + 1)]
+    if rg.scalar_base(f.ring).kind == rg.MODULAR:
+        return via_lift(lambda lifted: disc_hyper(lifted[0]), [f])
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
     res = resultant(partials, DegreeSignature(n, (d - 1,) * n))
-    scale = rg.element(res.ring, d ** a_exponent(n, d))
-    disc = rg.exact_divide(res, scale)
-    if modular:
-        return rg.RingElement(ring, rg.val_convert(disc.ring, ring, disc.value))
-    return disc
+    return rg.exact_divide(res, rg.element(res.ring, d ** a_exponent(n, d)))
 
 
 def quadric_disc(f):
@@ -97,16 +93,15 @@ def quadric_disc(f):
     if h is None or h == "any" or h != 2:
         raise NotQuadratic(f"need a homogeneous quadratic, got degree {h!r}")
     n = f.nvars
+    if rg.scalar_base(f.ring).kind == rg.MODULAR:
+        return via_lift(lambda lifted: quadric_disc(lifted[0]), [f])
     ring = f.ring
-    modular = rg.scalar_base(ring).kind == rg.MODULAR
-    work = lift_poly(f) if modular else f
-    wring = work.ring
 
     def coeff(i, j):
         e = [0] * n
         e[i] += 1
         e[j] += 1
-        return work.coefficient_of(tuple(e))
+        return f.coefficient_of(tuple(e))
 
     rows = []
     for i in range(n):
@@ -114,19 +109,17 @@ def quadric_disc(f):
         for j in range(n):
             c = coeff(i, j)
             if i == j:
-                c = rg.val_add(wring, c, c)
+                c = rg.val_add(ring, c, c)
             row.append(c)
         rows.append(row)
-    det = rg.RingElement(wring, det_bareiss(wring, rows))
+    det = rg.RingElement(ring, det_bareiss(ring, rows))
     if n % 2:
-        det = rg.exact_divide(det, rg.element(wring, 2))
-    if modular:
-        return rg.RingElement(ring, rg.val_convert(wring, ring, det.value))
+        det = rg.exact_divide(det, rg.element(ring, 2))
     return det
 
 
 def disc_times_bar(f):
-    """Res(d_1 f, ..., d_{n-1} f, f), asserted equal to Disc(f) Disc(f-bar).
+    """Res(d_1 f, ..., d_{n-1} f, f), checked equal to Disc(f) Disc(f-bar).
 
     f-bar is f with X_n set to 0, viewed in n-1 variables.
     """
@@ -136,9 +129,10 @@ def disc_times_bar(f):
         raise SignatureMismatch("needs at least 2 variables")
     partials = [partial_derivative(f, i) for i in range(1, n)]
     s = resultant(partials + [f], DegreeSignature(n, (d - 1,) * (n - 1) + (d,)))
-    assert s == disc_hyper(f) * disc_hyper(_bar(f)), (
-        "product identity failed: Res(partials, f) != Disc(f) * Disc(f-bar)"
-    )
+    if s != disc_hyper(f) * disc_hyper(_bar(f)):
+        raise IdentityFailed(
+            "product identity failed: Res(partials, f) != Disc(f) * Disc(f-bar)"
+        )
     return s
 
 

@@ -6,23 +6,29 @@ The defining identity is
         = Res(f_1,...,f_{n-1}, J_i)      for every i,
 
 with Disc = 1 when every degree is 1.  Specialized inputs are handled
-by the division above when some Res(fs, X_i) is a nonzero divisor, and
-otherwise by lifting to characteristic zero and perturbing with
-t * (linear form)^{d_i}, evaluating at t = 0 afterwards.
+by the division above when some Res(fs, X_i) is a nonzero divisor; when
+a second index qualifies too, its quotient must agree with the first,
+else IdentityFailed.  Res(fs, X_i) is computed as the resultant of the
+forms restricted to X_i = 0, with the sign (-1)^{(n-i) d_1...d_{n-1}}.
+
+When no index qualifies, the forms (lifted to Z when modular) are
+perturbed to f_i + t * X_i^{d_i}.  Disc is then a polynomial in t of
+degree at most total_degree(sig), and the division works at every t
+where Res(f_t, X_n), monic in t, does not vanish; Disc at t = 0 is
+interpolated from integer samples.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import ring as rg
 from .determinants import det_bareiss
 from .errors import (
     DeltaIsOne,
+    IdentityFailed,
     NotDivisible,
-    PerturbationDegenerate,
     SignatureMismatch,
     UnsupportedRing,
 )
@@ -32,10 +38,10 @@ from .mpoly import (
     DegreeSignature,
     MultiPoly,
     is_homogeneous,
-    lift_poly,
     substitute,
+    via_lift,
 )
-from .resultant import resultant
+from .resultant import interpolate_at_zero, resultant
 
 __all__ = [
     "PointDiscInstance",
@@ -57,15 +63,15 @@ class PointDiscInstance:
     value: object  # RingElement
     strategy: str  # "unit-degrees" | "division" | "perturbation"
     index: int | None = None
-    attempts: int = 0
 
 
-def disc_points(fs, sig, budget=8, seed=0):
-    return disc_points_traced(fs, sig, budget=budget, seed=seed).value
+def disc_points(fs, sig):
+    return disc_points_traced(fs, sig).value
 
 
-def disc_points_traced(fs, sig, budget=8, seed=0):
+def disc_points_traced(fs, sig):
     """Discriminant plus a trace of how it was obtained."""
+    fs = list(fs)
     if not fs:
         raise SignatureMismatch("need at least one form (n >= 2 variables)")
     _validate_system(fs, sig)
@@ -78,128 +84,70 @@ def disc_points_traced(fs, sig, budget=8, seed=0):
         value, index = found
         return PointDiscInstance(tuple(fs), sig, value, "division", index=index)
 
-    value, attempts = _by_perturbation(fs, sig, budget, seed)
-    return PointDiscInstance(
-        tuple(fs), sig, value, "perturbation", attempts=attempts
-    )
+    if rg.scalar_base(ring).kind == rg.MODULAR:
+        value = via_lift(lambda lifted: _by_perturbation(lifted, sig), fs)
+    else:
+        value = _by_perturbation(fs, sig)
+    return PointDiscInstance(tuple(fs), sig, value, "perturbation")
 
 
 def _by_division(fs, sig):
-    """Strategy (a): smallest index whose denominator is a nonzero divisor."""
+    """(quotient, index) at the smallest index whose denominator is a nonzero divisor.
+
+    The next such index, if any, must give the same quotient.
+    """
     n = sig.nvars
-    ring = fs[0].ring
-    jdeg = jacobian_degree(sig)
+    jsig = DegreeSignature(n, sig.degrees + (jacobian_degree(sig),))
     first = None
     for i in range(1, n + 1):
-        xi = MultiPoly.variable(ring, n, i)
-        den = resultant(fs + [xi], DegreeSignature(n, sig.degrees + (1,)))
-        if den.is_zero() or not den.is_nzd():
+        den = _res_with_variable(fs, sig, i)
+        if not den.is_nzd():
             continue
-        ji = jac_minor(fs, sig, i)
-        num = resultant(fs + [ji], DegreeSignature(n, sig.degrees + (jdeg,)))
+        num = resultant(fs + [jac_minor(fs, sig, i)], jsig)
         try:
             q = rg.exact_divide(num, den)
         except NotDivisible:
             continue
         if first is None:
             first = (q, i)
-            if not __debug__:
-                return first
-        else:
-            assert q == first[0], (
+        elif q != first[0]:
+            raise IdentityFailed(
                 f"defining identity gave different values at indices {first[1]} and {i}"
             )
-            return first
+        else:
+            break
     return first
 
 
-def _random_linear(rng, ring, n):
-    while True:
-        coeffs = [rng.randint(-3, 3) for _ in range(n)]
-        if any(coeffs):
-            break
-    acc = MultiPoly.zero(ring, n)
-    for j, c in enumerate(coeffs, start=1):
-        if c:
-            acc = acc.add(MultiPoly.variable(ring, n, j).scale_int(c))
-    return acc
+def _res_with_variable(fs, sig, i):
+    """Res(f_1, ..., f_{n-1}, X_i) from the forms restricted to X_i = 0."""
+    n = sig.nvars
+    pos = i - 1
+    restricted = []
+    for f in fs:
+        kept = {e[:pos] + e[pos + 1 :]: c for e, c in f.terms.items() if e[pos] == 0}
+        restricted.append(MultiPoly(f.ring, n - 1, kept))
+    res = resultant(restricted, DegreeSignature(n - 1, sig.degrees))
+    return -res if (n - i) * math.prod(sig.degrees) % 2 else res
 
 
-def _kill_last_payload_var(payload):
-    """Set the last coefficient-indeterminate to 0 and drop its slot."""
-    out = {}
-    for e, c in payload.terms.items():
-        if e[-1] == 0:
-            out[e[:-1]] = c
-    return out
-
-
-def _by_perturbation(fs, sig, budget, seed):
-    """Strategy (b): lift to a characteristic-zero base and deform."""
+def _by_perturbation(fs, sig):
+    """Disc(f_i + t X_i^{d_i}) sampled through _by_division, at t = 0."""
     ring = fs[0].ring
     n = sig.nvars
-    modular = rg.scalar_base(ring).kind == rg.MODULAR
-    if modular:
-        lifted = [lift_poly(f) for f in fs]
-        lring = lifted[0].ring
-    else:
-        lifted = list(fs)
-        lring = ring
+    bumps = [
+        MultiPoly.monomial(ring, n, [d if k == i else 0 for k in range(n)], rg.val_one(ring))
+        for i, d in enumerate(sig.degrees)
+    ]
 
-    tname = "t"
-    taken = set(lring.variables) if lring.kind == rg.POLYEXT else set()
-    while tname in taken:
-        tname += "_"
-    ext = rg.join_extension(lring, (tname,))
-    tpos = len(ext.variables) - 1
+    def sample(t):
+        found = _by_division([f.add(b.scale_int(t)) for f, b in zip(fs, bumps)], sig)
+        return None if found is None else found[0].value
 
-    rng = random.Random(seed)
-    for attempt in range(1, budget + 1):
-        perturbed = []
-        for f, d in zip(lifted, sig.degrees):
-            ell = _random_linear(rng, ext, n)
-            bump = ell.pow(d).map_coefficients(
-                lambda c: _var_payload_mul(ext, c, tpos)
-            )
-            perturbed.append(f.change_ring(ext).add(bump))
-        found = _by_division(perturbed, sig)
-        if found is None:
-            continue
-        payload = found[0].value
-        assert isinstance(payload, MultiPoly)
-        kept = _kill_last_payload_var(payload)
-        if lring.kind == rg.POLYEXT:
-            value = rg.RingElement(
-                lring, MultiPoly(rg.scalar_base(lring), len(lring.variables), kept)
-            )
-        else:
-            value = rg.RingElement(lring, kept.get((), rg.val_zero(lring)))
-        if modular:
-            if ring.kind == rg.POLYEXT:
-                reduced = value.value.change_ring(rg.scalar_base(ring))
-                value = rg.RingElement(ring, reduced)
-            else:
-                value = rg.RingElement(ring, rg.val_convert(lring, ring, value.value))
-        return value, attempt
-    raise PerturbationDegenerate(
-        f"no admissible index after {budget} random perturbations"
-    )
-
-
-def _var_payload_mul(ext, coeff, tpos):
-    """Multiply a payload of ``ext`` by the extension variable at tpos."""
-    base = rg.scalar_base(ext)
-    nv = len(ext.variables)
-    if isinstance(coeff, MultiPoly):
-        out = {}
-        for e, c in coeff.terms.items():
-            ee = list(e)
-            ee[tpos] += 1
-            out[tuple(ee)] = c
-        return MultiPoly(base, nv, out)
-    e = [0] * nv
-    e[tpos] = 1
-    return MultiPoly(base, nv, {tuple(e): coeff})
+    # Res(f_t, X_n) restricts to a resultant monic in t of this degree
+    p = math.prod(sig.degrees)
+    skips = sum(p // d for d in sig.degrees)
+    return rg.RingElement(ring, interpolate_at_zero(ring, sample, total_degree(sig), skips))
 
 
 # ---------------------------------------------------------------------------

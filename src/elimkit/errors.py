@@ -63,7 +63,11 @@ class NotGeneric(ElimkitError):
 
 
 class PerturbationDegenerate(ElimkitError):
-    """Every perturbation attempt within the retry budget stayed degenerate."""
+    """More sample points of a perturbation failed than its denominator's degree allows."""
+
+
+class IdentityFailed(ElimkitError):
+    """An identity the theory guarantees did not hold on a computed value."""
 
 
 class DeltaIsOne(ElimkitError):

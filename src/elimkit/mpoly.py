@@ -47,6 +47,7 @@ __all__ = [
     "flatten_extension",
     "unflatten_extension",
     "lift_poly",
+    "via_lift",
     "evaluate_coefficients",
     "poly_content",
 ]
@@ -789,6 +790,18 @@ def lift_poly(f):
     if lifted == f.ring:
         return f
     return MultiPoly(lifted, f.nvars, {e: _lift_payload(f.ring, c) for e, c in f.terms.items()})
+
+
+def via_lift(compute, fs):
+    """compute(lifted forms) reduced back to the modular ring of ``fs``.
+
+    A value over Z/m (or an extension of it) is defined as the reduction
+    of the value at the canonical lift to Z; this is how it is computed
+    wherever the route needs an exact division by an integer.
+    """
+    ring = fs[0].ring
+    value = compute([lift_poly(f) for f in fs])
+    return rg.RingElement(ring, rg.val_convert(value.ring, ring, value.value))
 
 
 def evaluate_coefficients(f, values):

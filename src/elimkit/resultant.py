@@ -5,12 +5,13 @@ Res(X_1^{d_1}, ..., X_n^{d_n}) = 1.  Computation goes through the
 classical Macaulay construction at critical degree nu = sum(d_i - 1) + 1:
 the determinant of the big matrix M equals the resultant times the
 determinant of the reduced submatrix M', identically in the coefficients.
-When det(M') vanishes for special coefficients, a perturbation f_i +
-t * X_i^{d_i} makes both matrices t + (original), so both determinants
-become monic polynomials in t, the quotient R(t) is computed by exact
-univariate division, and R(0) is the answer.  Both routes agree with the
-generic computation under every specialization, which is what pins the
-value down.
+When det(M') is a zero divisor for special coefficients, the perturbation
+f_i + t * X_i^{d_i} adds t to the diagonal of both matrices, so
+R(t) = det(M + tI) / det(M' + tI) is a monic polynomial in t.  It is
+sampled as a numeric Macaulay ratio at positive integers t and R(0) is
+interpolated (see :func:`interpolate_at_zero`).  Both routes agree with
+the generic computation under every specialization, which is what pins
+the value down.
 
 Modular coefficients are canonically lifted to Z, computed there, and
 reduced back; this is also how the value is defined in that case.
@@ -18,14 +19,13 @@ reduced back; this is also how the value is defined in that case.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from . import ring as rg
 from .determinants import det_payload_auto
 from .errors import (
     NonHomogeneous,
-    NotDivisible,
     NotGeneric,
     PerturbationDegenerate,
     RingMismatch,
@@ -39,19 +39,19 @@ from .mpoly import (
     generic_system,
     is_homogeneous,
     isobaric_part,
-    lift_poly,
     monomials_of_degree,
     poly_exact_div,
+    via_lift,
     weight_valuation,
     zariski_weight_vector,
 )
 
 __all__ = [
     "MacaulaySystem",
-    "PerturbationPlan",
     "build_macaulay",
     "resultant",
     "gcp_resultant",
+    "interpolate_at_zero",
     "is_inertia_form_generic",
     "zariski_lowest_part",
 ]
@@ -59,7 +59,11 @@ __all__ = [
 
 @dataclass
 class MacaulaySystem:
-    """The numerator/denominator matrix pair for one signature."""
+    """The numerator/denominator matrix pair for one signature.
+
+    Row p holds the multiple of f_i whose pure-power term lands in column
+    p, so perturbing every f_i by t * X_i^{d_i} adds t to the diagonal.
+    """
 
     sig: DegreeSignature
     ring: object
@@ -68,26 +72,21 @@ class MacaulaySystem:
     row_slot: list  # which f_i produced each row
     reduced: list  # positions belonging to the reduced submatrix M'
 
-    def numerator_det(self):
-        return det_payload_auto(self.ring, self.rows)
+    def numerator_det(self, t=0):
+        """det(M + tI)."""
+        return det_payload_auto(self.ring, self._shifted(range(len(self.rows)), t))
 
-    def denominator_det(self):
-        sub = [[self.rows[i][j] for j in self.reduced] for i in self.reduced]
-        return det_payload_auto(self.ring, sub)
+    def denominator_det(self, t=0):
+        """det(M' + tI)."""
+        return det_payload_auto(self.ring, self._shifted(self.reduced, t))
 
-
-@dataclass
-class PerturbationPlan:
-    """How gcp_resultant perturbs a degenerate system.
-
-    ``forms`` = None means the default p_i = X_i^{d_i}, for which the
-    perturbed denominator is monic in t and the division never fails.
-    """
-
-    t_name: str = "t"
-    forms: list | None = None
-    budget: int = 8
-    seed: int = 0
+    def _shifted(self, positions, t):
+        sub = [[self.rows[i][j] for j in positions] for i in positions]
+        if t:
+            shift = rg.val_from_int(self.ring, t)
+            for k, row in enumerate(sub):
+                row[k] = rg.val_add(self.ring, row[k], shift)
+        return sub
 
 
 def _validate_system(fs, sig):
@@ -181,10 +180,7 @@ def resultant(fs, sig, use_fast_paths=True):
         if diag is not None:
             return rg.RingElement(ring, diag)
     if rg.scalar_base(ring).kind == rg.MODULAR:
-        lifted = [lift_poly(f) for f in fs]
-        res = resultant(lifted, sig, use_fast_paths=use_fast_paths)
-        back = rg.val_convert(res.ring, ring, res.value)
-        return rg.RingElement(ring, back)
+        return via_lift(lambda lifted: resultant(lifted, sig, use_fast_paths), fs)
     ms = build_macaulay(fs, sig)
     den = ms.denominator_det()
     if rg.val_is_nzd(ring, den):
@@ -193,98 +189,74 @@ def resultant(fs, sig, use_fast_paths=True):
     return gcp_resultant(fs, sig)
 
 
-def _fresh_name(ring, base_name):
-    taken = set()
-    r = ring
-    while r.kind == rg.POLYEXT:
-        taken.update(r.variables)
-        r = r.base
-    name = base_name
-    while name in taken:
-        name += "_"
-    return name
+def gcp_resultant(fs, sig):
+    """Resultant through the perturbation f_i + t X_i^{d_i}, at t = 0.
 
-
-def gcp_resultant(fs, sig, plan=None):
-    """Resultant of a system whose Macaulay denominator vanished.
-
-    Computes R(t) = Res(f_1 + t p_1, ..., f_n + t p_n) over ring[t] by the
-    Macaulay ratio (exact there) and returns R(0).
+    R(t) = det(M + tI) / det(M' + tI) is monic of degree
+    D = sum_i prod_{j != i} d_j.  It is sampled at the first D positive
+    integers where det(M' + tI), itself monic of degree dim M', is a
+    nonzero divisor, and R(0) is interpolated.  Serves systems whose
+    Macaulay denominator vanished.
     """
     fs = list(fs)
     ring = _validate_system(fs, sig)
     if any(f.is_zero() for f in fs):
         return rg.RingElement(ring, rg.val_zero(ring))
     if rg.scalar_base(ring).kind == rg.MODULAR:
-        lifted = [lift_poly(f) for f in fs]
-        res = gcp_resultant(lifted, sig, plan)
-        return rg.RingElement(ring, rg.val_convert(res.ring, ring, res.value))
-    if plan is None:
-        plan = PerturbationPlan()
-    n = sig.nvars
-    tname = _fresh_name(ring, plan.t_name)
-    ext = rg.join_extension(ring, (tname,))
-    tpos = ext.variables.index(tname)
-    tmono = [0] * len(ext.variables)
-    tmono[tpos] = 1
-    tval = MultiPoly(ext.base, len(ext.variables), {tuple(tmono): rg.val_one(ext.base)})
-    rng = random.Random(plan.seed)
-    forms = plan.forms
-    for attempt in range(max(1, plan.budget)):
-        if forms is None:
-            ps = []
-            for i in range(n):
-                e = [0] * n
-                e[i] = sig.degrees[i]
-                ps.append(MultiPoly.monomial(ring, n, tuple(e), rg.val_one(ring)))
-        else:
-            ps = forms
-        fs_t = []
-        for f, p in zip(fs, ps):
-            fe = f.change_ring(ext)
-            pe = p.change_ring(ext).scale(tval)
-            fs_t.append(fe.add(pe))
-        ms = build_macaulay(fs_t, sig)
-        den = ms.denominator_det()
-        if not rg.val_is_zero(ext, den):
-            try:
-                q = rg.val_exact_divide(ext, ms.numerator_det(), den)
-            except NotDivisible:
-                q = None
-            if q is not None:
-                value = _eval_aux_zero(q, tpos)
-                if ring.kind != rg.POLYEXT:
-                    value = value.constant_value()
-                return rg.RingElement(ring, value)
-        # re-randomize: d_i-th powers of small-integer linear forms
-        forms = []
-        for i in range(n):
-            while True:
-                vec = [rng.randint(-3, 3) for _ in range(n)]
-                if any(vec):
-                    break
-            lin = MultiPoly.from_terms(
-                ring,
-                n,
-                [
-                    (tuple(1 if k == j else 0 for k in range(n)), rg.val_from_int(ring, a))
-                    for j, a in enumerate(vec)
-                    if a
-                ],
-            )
-            forms.append(lin.pow(sig.degrees[i]))
-    raise PerturbationDegenerate(
-        f"no usable perturbation within budget {plan.budget} for signature {sig}"
-    )
+        return via_lift(lambda lifted: gcp_resultant(lifted, sig), fs)
+    ms = build_macaulay(fs, sig)
+
+    def sample(t):
+        den = ms.denominator_det(t)
+        if not rg.val_is_nzd(ring, den):
+            return None
+        return rg.val_exact_divide(ring, ms.numerator_det(t), den)
+
+    p = math.prod(sig.degrees)
+    degree = sum(p // d for d in sig.degrees)
+    value = interpolate_at_zero(ring, sample, degree, len(ms.reduced), monic=True)
+    return rg.RingElement(ring, value)
 
 
-def _eval_aux_zero(payload, tpos):
-    """Set the auxiliary variable to 0 and drop it from the payload."""
-    out = {}
-    for e, c in payload.terms.items():
-        if e[tpos] == 0:
-            out[e[:tpos] + e[tpos + 1 :]] = c
-    return MultiPoly(payload.ring, payload.nvars - 1, out)
+def interpolate_at_zero(ring, sample, degree, skips, monic=False):
+    """P(0) for a polynomial P(t) over ``ring`` of degree at most ``degree``.
+
+    ``sample(t)`` returns the payload P(t), or None where it cannot be
+    computed because a denominator is a zero divisor at t.  Samples are
+    taken at the first positive integers where it can; ``skips`` is the
+    degree of that denominator, monic in t, so more failures than that
+    raise PerturbationDegenerate.  ``monic`` says P = t^degree + lower
+    terms (degree >= 1), which saves one sample.  Lagrange interpolation
+    ends in one exact division by an integer, so ``ring`` must not be
+    modular.
+    """
+    need = degree if monic else degree + 1
+    points = []
+    t = 0
+    while len(points) < need:
+        t += 1
+        value = sample(t)
+        if value is None:
+            if t - len(points) > skips:
+                raise PerturbationDegenerate(
+                    f"{t - len(points)} sample points failed, at most {skips} can"
+                )
+            continue
+        if monic:
+            value = rg.val_sub(ring, value, rg.val_from_int(ring, t**degree))
+        points.append((t, value))
+    # P(0) = sum_k P(t_k) prod_{j != k} t_j / (t_j - t_k), over one denominator
+    ts = [tk for tk, _ in points]
+    nums, dens = [], []
+    for tk in ts:
+        nums.append(math.prod(tj for tj in ts if tj != tk))
+        dens.append(math.prod(tj - tk for tj in ts if tj != tk))
+    common = math.lcm(*dens)
+    acc = rg.val_zero(ring)
+    for (_, value), num, den in zip(points, nums, dens):
+        weight = rg.val_from_int(ring, num * (common // den))
+        acc = rg.val_add(ring, acc, rg.val_mul(ring, value, weight))
+    return rg.val_exact_divide(ring, acc, rg.val_from_int(ring, common))
 
 
 # ---------------------------------------------------------------------------

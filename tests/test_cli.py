@@ -25,6 +25,14 @@ def run(args, doc=None):
     return CliRunner().invoke(main, args, input=data)
 
 
+def run_optimized(args, prelude=""):
+    """The CLI in a ``python -O`` subprocess, after running ``prelude``."""
+    code = f"{prelude}from elimkit.cli import main\nmain({args!r})\n"
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+    )
+
+
 def int_doc(nvars, polys, ring=None):
     return {
         "ring": ring if ring is not None else {"kind": "integers"},
@@ -158,7 +166,7 @@ class TestResCommand:
 class TestDiscCommands:
     def test_points_binary_quadratic(self):
         doc = int_doc(2, [{(2, 0): 3, (1, 1): 5, (0, 2): 7}])
-        result = run(["disc-points", "--seed", "1"], doc)
+        result = run(["disc-points"], doc)
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == "59"
 
@@ -341,6 +349,25 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self):
         assert run(["verify", "does-not-exist"]).exit_code == 3
+
+    @pytest.mark.parametrize("suite", ["disc-points-props", "disc-hyper-props"])
+    def test_identity_suites_pass_under_optimize(self, suite):
+        proc = run_optimized(["verify", suite])
+        assert proc.returncode == 0, proc.stderr
+        assert all(c["status"] == "pass" for c in json.loads(proc.stdout)["checks"])
+
+    def test_bar_product_failure_survives_optimize(self):
+        # doubling f-bar breaks Res(partials, f) = Disc(f) Disc(f-bar)
+        patch = (
+            "import sys, elimkit.disc_hyper\n"
+            "mod = sys.modules['elimkit.disc_hyper']\n"
+            "bar = mod._bar\n"
+            "mod._bar = lambda f: bar(f).scale_int(2)\n"
+        )
+        proc = run_optimized(["verify", "disc-hyper-props"], patch)
+        assert proc.returncode == 1
+        checks = {c["id"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+        assert checks["disc-hyper-props/bar-product"] == "fail"
 
 
 class TestModuleEntryPoint:

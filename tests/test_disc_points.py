@@ -12,8 +12,10 @@ from elimkit.disc_points import (
     base_change_K_degree,
     base_change_K_fdegree,
     delta_mod_delta,
+    _res_with_variable,
     disc_points,
     disc_points_degree,
+    disc_points_traced,
     linear_forms_disc,
     total_degree,
 )
@@ -34,6 +36,14 @@ def rand_form(rnd, n, d, lo=-7, hi=7):
     terms = {e: rnd.randint(lo, hi) for e in monomials_of_degree(n, d)}
     terms = {e: c for e, c in terms.items() if c}
     return MultiPoly(rg.ZZ, n, terms or {(d,) + (0,) * (n - 1): 1})
+
+
+def acceptance_form(rng, n=3, d=3):
+    """The acceptance suite's random form: coefficients in [-4, 4], X_1^d present."""
+    terms = {e: rng.randrange(-4, 5) for e in monomials_of_degree(n, d)}
+    terms = {e: c for e, c in terms.items() if c}
+    terms.setdefault((d,) + (0,) * (n - 1), 1)
+    return MultiPoly(rg.ZZ, n, terms)
 
 
 def var(n, i, ring=rg.ZZ):
@@ -61,12 +71,27 @@ class TestDefiningIdentity:
         rnd = random.Random(17)
         sig = DegreeSignature(3, (2, 2))
         fs = [rand_form(rnd, 3, 2), rand_form(rnd, 3, 2)]
-        disc = disc_points(fs, sig)
+        disc = disc_points(tuple(fs), sig)
         for i in (1, 2, 3):
             ji = jac_minor(fs, sig, i)
             num = resultant(fs + [ji], DegreeSignature(3, (2, 2, 2)))
             den = resultant(fs + [var(3, i)], DegreeSignature(3, (2, 2, 1)))
             assert disc * den == num
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [(1,), (2,), (3,), (1, 2), (2, 2), (3, 3), (1, 1, 3), (2, 1, 1), (1, 3, 1)],
+    )
+    def test_restricted_denominator_matches_macaulay(self, degrees):
+        # Res(f, X_i) = (-1)^((n-i) d_1...d_{n-1}) Res(f restricted to X_i = 0)
+        n = len(degrees) + 1
+        sig = DegreeSignature(n, degrees)
+        rnd = random.Random(n * 10 + sum(degrees))
+        fs = [rand_form(rnd, n, d) for d in degrees]
+        xsig = DegreeSignature(n, degrees + (1,))
+        for i in range(1, n + 1):
+            full = resultant(fs + [var(n, i)], xsig, use_fast_paths=False)
+            assert _res_with_variable(fs, sig, i) == full
 
     def test_all_linear_is_one(self):
         fs = [
@@ -176,6 +201,25 @@ class TestInvariance:
             lhs = disc_points(mixed, sig)
             rhs = disc_points([f1, f2], sig)
             assert lhs.value == det**expo * rhs.value
+
+    def test_degenerate_cubic_pairs(self):
+        # two plane-cubic pairs whose numerator resultants have a singular
+        # Macaulay denominator; the values come from a separate computation
+        # of Macaulay ratios with sympy determinants
+        rng = random.Random(5)
+        pairs = [(acceptance_form(rng), acceptance_form(rng)) for _ in range(5)]
+        sig = DegreeSignature(3, (3, 3))
+        expected = {
+            1: -353105950122466797716438272,
+            4: 300732618119885532569698588,
+        }
+        for k, value in expected.items():
+            f, g = pairs[k]
+            assert disc_points([f, g], sig).value == value
+            assert disc_points([g, f], sig).value == value
+            traced = disc_points_traced([h.change_ring(rg.Zmod(2)) for h in (f, g)], sig)
+            assert traced.strategy == "division"
+            assert traced.value.value == value % 2
 
     def test_linear_change_of_coordinates(self):
         # Disc(f o phi) = det(phi)^(d1...d_{n-1} sum(d_i - 1)) Disc(f)
@@ -380,3 +424,22 @@ class TestGenericCacheAgreement:
         for _ in range(10):
             fs = [rand_form(rnd, sig.nvars, d, -5, 5) for d in sig.degrees]
             assert disc_points(fs, sig) == entry.specialize(fs)
+
+    def test_perturbation_route_equals_cache(self):
+        # both conics pass through (1:0:0) and (0:0:1), so each coordinate
+        # line meets a common zero and every Res(f, X_i) vanishes
+        sig = DegreeSignature(3, (2, 2))
+        entry = generic_disc(sig, kind="points")
+        rnd = random.Random(62)
+        monos = [e for e in monomials_of_degree(3, 2) if e[0] < 2 and e[2] < 2]
+        nonzero = 0
+        for _ in range(3):
+            fs = [
+                MultiPoly(rg.ZZ, 3, {e: c for e in monos if (c := rnd.randint(-5, 5))})
+                for _ in range(2)
+            ]
+            traced = disc_points_traced(fs, sig)
+            assert traced.strategy == "perturbation"
+            assert traced.value == entry.specialize(fs)
+            nonzero += not traced.value.is_zero()
+        assert nonzero

@@ -15,6 +15,7 @@ from elimkit.mpoly import (
     dehomogenize,
     generic_system,
     monomials_of_degree,
+    parse_generic_name,
     weight_valuation,
     zariski_weight_vector,
 )
@@ -36,6 +37,26 @@ def rand_form(rnd, n, d, ring=rg.ZZ, lo=-9, hi=9):
     if not terms:
         terms = {(d,) + (0,) * (n - 1): rg.val_from_int(ring, 1)}
     return MultiPoly(ring, n, terms)
+
+
+def affine_in_s(rnd, n, d):
+    """f + s g over Z[s], with f and g random integer forms."""
+    zs = rg.polyext(rg.ZZ, ("s",))
+    s = MultiPoly.variable(rg.ZZ, 1, 1)
+    f, g = rand_form(rnd, n, d), rand_form(rnd, n, d)
+    return f.change_ring(zs).add(g.change_ring(zs).scale(s))
+
+
+def generic_value(sig, fs):
+    """The generic resultant of sig evaluated at the coefficients of fs."""
+    ext, generic = generic_system(sig)
+    res = resultant(generic, sig).value
+    values = []
+    for name in ext.variables:
+        slot, exp = parse_generic_name(name)
+        values.append(fs[slot - 1].coefficient_of(exp))
+    ring = fs[0].ring
+    return rg.RingElement(ring, res.change_ring(ring).evaluate(values))
 
 
 def pure_powers(n, d, ring=rg.ZZ):
@@ -209,10 +230,43 @@ class TestMacaulay:
 
     def test_gcp_matches_division_route(self):
         rnd = random.Random(41)
-        for sig in (DegreeSignature(2, (2, 2)), DegreeSignature(3, (2, 1, 1))):
-            for _ in range(4):
-                fs = [rand_form(rnd, sig.nvars, d) for d in sig.degrees]
-                assert gcp_resultant(fs, sig) == resultant(fs, sig, use_fast_paths=False)
+        zs = rg.polyext(rg.ZZ, ("s",))
+        for ring in (rg.ZZ, rg.QQ, rg.Zmod(12), zs):
+            for sig in (DegreeSignature(2, (2, 2)), DegreeSignature(3, (2, 1, 1))):
+                for _ in range(4):
+                    if ring == zs:
+                        fs = [affine_in_s(rnd, sig.nvars, d) for d in sig.degrees]
+                    else:
+                        fs = [rand_form(rnd, sig.nvars, d, ring) for d in sig.degrees]
+                    assert gcp_resultant(fs, sig) == resultant(fs, sig, use_fast_paths=False)
+
+    @pytest.mark.parametrize(
+        "ring", [rg.ZZ, rg.QQ, rg.Zmod(12), rg.polyext(rg.ZZ, ("s",))], ids=repr
+    )
+    def test_gcp_where_the_denominator_vanishes(self, ring):
+        # M' is [coeff of X2 in f_2] for (2, 1, 1) and has rows
+        # (coeff of X1^2, coeff of X2^2) of f_1, f_2 for (2, 2, 1)
+        rnd = random.Random(42)
+        nonzero = 0
+        for sig, killed in (
+            (DegreeSignature(3, (2, 1, 1)), [(1, (0, 1, 0))]),
+            (DegreeSignature(3, (2, 2, 1)), [(0, (2, 0, 0)), (1, (2, 0, 0))]),
+        ):
+            for _ in range(3):
+                if ring.kind == rg.POLYEXT:
+                    fs = [affine_in_s(rnd, 3, d) for d in sig.degrees]
+                else:
+                    fs = [rand_form(rnd, 3, d, ring) for d in sig.degrees]
+                for slot, e in killed:
+                    fs[slot] = MultiPoly(
+                        ring, 3, {k: c for k, c in fs[slot].terms.items() if k != e}
+                    )
+                ms = build_macaulay(fs, sig)
+                assert rg.val_is_zero(ring, ms.denominator_det())
+                got = resultant(fs, sig)
+                assert got == gcp_resultant(fs, sig) == generic_value(sig, fs)
+                nonzero += not got.is_zero()
+        assert nonzero
 
 
 class TestInertia:
