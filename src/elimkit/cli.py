@@ -37,7 +37,6 @@ from fractions import Fraction
 import click
 
 from . import ring as rg
-from .determinants import det_bareiss
 from .disc_hyper import (
     a_exponent,
     disc_hyper,
@@ -52,12 +51,19 @@ from .disc_points import (
     disc_points_degree,
     total_degree,
 )
-from .errors import ElimkitError, IdentityFailed, PerturbationDegenerate, UnknownSuite
+from .errors import (
+    ElimkitError,
+    IdentityFailed,
+    PerturbationDegenerate,
+    SignatureMismatch,
+    UnknownSuite,
+)
 from .jacobian import jac_full, jac_minor
 from .mertens import mertens_first, mertens_second
 from .mpoly import (
     DegreeSignature,
     MultiPoly,
+    form_degrees,
     generic_system,
     grlex_key,
     is_homogeneous,
@@ -292,18 +298,23 @@ def guarded(fn):
     return wrapper
 
 
-def _signature_for(fs, nvars, expected_count=None):
-    if expected_count is not None and len(fs) != expected_count:
+def _signature_for(doc, fs, nvars, expected_count):
+    """Degree signature of a document's forms.
+
+    A zero form has no degree of its own; it takes the ``"degree"`` that
+    its polynomial object in ``doc`` declares.
+    """
+    if len(fs) != expected_count:
         raise DocumentError(
             f"expected {expected_count} polynomials for nvars={nvars}, got {len(fs)}"
         )
-    degrees = []
-    for f in fs:
-        h = is_homogeneous(f)
-        if h in (None, "any"):
-            degrees.append(0)
-        else:
-            degrees.append(h)
+    degrees = [
+        pdoc.get("degree") if d is None else d
+        for d, pdoc in zip(form_degrees(fs, nvars), doc["polynomials"])
+    ]
+    if None in degrees:
+        i = degrees.index(None) + 1
+        raise SignatureMismatch(f"form {i} is zero and its document declares no degree")
     return DegreeSignature(nvars, tuple(degrees))
 
 
@@ -329,8 +340,9 @@ doc_argument = click.argument("document", required=False)
 @guarded
 def cmd_res(document, fmt):
     """Resultant of n forms in n variables."""
-    ring, nvars, variables, fs = system_from_json(_read_document(document))
-    sig = _signature_for(fs, nvars, nvars)
+    doc = _read_document(document)
+    ring, nvars, variables, fs = system_from_json(doc)
+    sig = _signature_for(doc, fs, nvars, nvars)
     out = resultant(fs, sig)
     _print(element_to_json(out), fmt)
 
@@ -341,8 +353,9 @@ def cmd_res(document, fmt):
 @guarded
 def cmd_disc_points(document, fmt):
     """Discriminant of n-1 forms in n variables."""
-    ring, nvars, variables, fs = system_from_json(_read_document(document))
-    sig = _signature_for(fs, nvars, nvars - 1)
+    doc = _read_document(document)
+    ring, nvars, variables, fs = system_from_json(doc)
+    sig = _signature_for(doc, fs, nvars, nvars - 1)
     out = disc_points(fs, sig)
     _print(element_to_json(out), fmt)
 
@@ -393,8 +406,9 @@ def cmd_reduced_res(document, fmt):
 @guarded
 def cmd_jacobian(document, fmt, index):
     """Signed maximal minor J_i of the Jacobian matrix of n-1 forms."""
-    ring, nvars, variables, fs = system_from_json(_read_document(document))
-    sig = _signature_for(fs, nvars, nvars - 1)
+    doc = _read_document(document)
+    ring, nvars, variables, fs = system_from_json(doc)
+    sig = _signature_for(doc, fs, nvars, nvars - 1)
     out = jac_minor(fs, sig, index)
     _print(system_to_json(ring, nvars, variables, [out]), fmt)
 
@@ -405,8 +419,9 @@ def cmd_jacobian(document, fmt, index):
 @guarded
 def cmd_delta_mod(document, fmt):
     """The form Delta with J_i = X_i Delta modulo gcd(d_1,...,d_{n-1})."""
-    ring, nvars, variables, fs = system_from_json(_read_document(document))
-    sig = _signature_for(fs, nvars, nvars - 1)
+    doc = _read_document(document)
+    ring, nvars, variables, fs = system_from_json(doc)
+    sig = _signature_for(doc, fs, nvars, nvars - 1)
     out = delta_mod_delta(fs, sig)
     payload = system_to_json(out.ring, nvars, variables, [out])
     payload["delta"] = math.gcd(*sig.degrees)
@@ -424,12 +439,13 @@ def cmd_k_factor(document, fmt):
     of one shared degree; K satisfies
     Disc(f o g) = Disc(f)^{d^{n-1}} Res(g)^{d_1...d_{n-1} sum(d_i - 1)} K.
     """
-    ring, nvars, variables, fs = system_from_json(_read_document(document))
+    doc = _read_document(document)
+    ring, nvars, variables, fs = system_from_json(doc)
     if len(fs) != 2 * nvars - 1:
         raise DocumentError(
             f"expected {nvars - 1} forms plus {nvars} substitutions, got {len(fs)}"
         )
-    sig = _signature_for(fs[: nvars - 1], nvars, nvars - 1)
+    sig = _signature_for(doc, fs[: nvars - 1], nvars, nvars - 1)
     out = base_change_K(fs[: nvars - 1], sig, fs[nvars - 1 :])
     _print(element_to_json(out), fmt)
 

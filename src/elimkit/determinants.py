@@ -19,7 +19,6 @@ nonzero entry first; pure-power Macaulay matrices collapse to nothing.
 from __future__ import annotations
 
 from . import ring as rg
-from .errors import NotDivisible
 from .mpoly import MultiPoly
 
 __all__ = [

@@ -12,7 +12,6 @@ from .determinants import det_bareiss
 from .errors import (
     DegreeTooLow,
     IdentityFailed,
-    NonHomogeneous,
     NotGeneric,
     NotQuadratic,
     SignatureMismatch,
@@ -20,11 +19,12 @@ from .errors import (
 from .mpoly import (
     DegreeSignature,
     MultiPoly,
+    form_degrees,
     generic_system,
     is_homogeneous,
     isobaric_part,
-    parse_generic_name,
     partial_derivative,
+    substitution_degree,
     via_lift,
     weight_valuation,
     zariski_weight_vector,
@@ -47,9 +47,10 @@ def a_exponent(n, d):
     """((d-1)^n - (-1)^n) / d, always an integer."""
     if n < 1 or d < 2:
         raise SignatureMismatch(f"a(n,d) needs n >= 1 and d >= 2, got ({n},{d})")
-    num = (d - 1) ** n - (-1) ** n
-    assert num % d == 0
-    return num // d
+    q, r = divmod((d - 1) ** n - (-1) ** n, d)
+    if r:
+        raise IdentityFailed(f"a({n},{d}) is not an integer: remainder {r}")
+    return q
 
 
 def disc_hyper_degree(n, d):
@@ -58,10 +59,8 @@ def disc_hyper_degree(n, d):
 
 
 def _degree_of(f):
-    h = is_homogeneous(f)
-    if h is None:
-        raise NonHomogeneous("input must be homogeneous")
-    if h == "any" or h <= 1:
+    (h,) = form_degrees([f])
+    if h is None or h <= 1:
         raise DegreeTooLow(f"discriminant needs degree >= 2, got {h!r}")
     return h
 
@@ -140,19 +139,7 @@ def disc_hyper_basechange(f, gs):
     """K with Disc(f(g_1,...,g_n)) = Disc(f)^{d^{n-1}} Res(g)^{m(m-1)^{n-1}} K."""
     m = _degree_of(f)
     n = f.nvars
-    if len(gs) != n:
-        raise SignatureMismatch(f"need {n} substitution forms, got {len(gs)}")
-    ds = set()
-    for g in gs:
-        if g.nvars != n or g.ring != f.ring:
-            raise SignatureMismatch("substitution forms must match the input form")
-        h = is_homogeneous(g)
-        if h is None or h == "any":
-            raise SignatureMismatch("substitution forms must be homogeneous and nonzero")
-        ds.add(h)
-    if len(ds) != 1:
-        raise SignatureMismatch("substitution forms must share one degree")
-    d = ds.pop()
+    d = substitution_degree(gs, f, n)
     if d < 1:
         raise SignatureMismatch("substitution degree must be at least 1")
     composed = f.substitute(gs)
@@ -229,13 +216,7 @@ def delta_n_identity(n, d):
     disc = disc_hyper(f)
     partials = [partial_derivative(f, i) for i in range(1, n)]
     s = resultant(partials + [f], DegreeSignature(n, (d - 1,) * (n - 1) + (d,)))
-    en = tuple([0] * (n - 1) + [d])
-    pos = None
-    for k, name in enumerate(ext.variables):
-        if parse_generic_name(name) == (1, en):
-            pos = k + 1
-            break
-    assert pos is not None
+    pos = ext.variables.index("U1_" + "_".join(map(str, [0] * (n - 1) + [d]))) + 1
     d_disc = partial_derivative(disc.value, pos)
     d_s = partial_derivative(s.value, pos)
     disc_bar = disc_hyper(_bar(f))

@@ -37,8 +37,9 @@ from .jacobian import jac_minor, jacobian_degree
 from .mpoly import (
     DegreeSignature,
     MultiPoly,
-    is_homogeneous,
+    form_degrees,
     substitute,
+    substitution_degree,
     via_lift,
 )
 from .resultant import interpolate_at_zero, resultant
@@ -72,8 +73,6 @@ def disc_points(fs, sig):
 def disc_points_traced(fs, sig):
     """Discriminant plus a trace of how it was obtained."""
     fs = list(fs)
-    if not fs:
-        raise SignatureMismatch("need at least one form (n >= 2 variables)")
     _validate_system(fs, sig)
     ring = fs[0].ring
     if all(d == 1 for d in sig.degrees):
@@ -176,6 +175,19 @@ def total_degree(sig):
 # ---------------------------------------------------------------------------
 
 
+def _linear_slots(lines):
+    """(ring, n) for n-1 nonempty slots of linear forms in n variables."""
+    if not lines or not all(lines):
+        raise SignatureMismatch("need at least one slot, each with at least one linear form")
+    flat = [l for slot in lines for l in slot]
+    n = flat[0].nvars
+    if any(d != 1 for d in form_degrees(flat)):
+        raise SignatureMismatch("all slot entries must be linear forms")
+    if len(lines) != n - 1:
+        raise SignatureMismatch(f"expected {n - 1} slots for {n} variables, got {len(lines)}")
+    return flat[0].ring, n
+
+
 def linear_forms_disc(lines):
     """Discriminant of products of linear forms, from the determinant product.
 
@@ -184,22 +196,7 @@ def linear_forms_disc(lines):
     determinants det(l_{1,j_1},...,l_{n-1,j_{n-1}}, l_{i,j}) with the
     pair {j_i, j} taken once per tuple.
     """
-    if not lines:
-        raise SignatureMismatch("need at least one slot")
-    ring = None
-    n = None
-    for slot in lines:
-        if not slot:
-            raise SignatureMismatch("each slot needs at least one linear form")
-        for l in slot:
-            if ring is None:
-                ring, n = l.ring, l.nvars
-            if l.ring != ring or l.nvars != n:
-                raise SignatureMismatch("all lines must share one ring and nvars")
-            if is_homogeneous(l) != 1:
-                raise SignatureMismatch("all slot entries must be linear forms")
-    if len(lines) != n - 1:
-        raise SignatureMismatch(f"expected {n - 1} slots for {n} variables")
+    ring, n = _linear_slots(lines)
     degrees = tuple(len(slot) for slot in lines)
     s = (math.prod(degrees) * sum(d - 1 for d in degrees)) // 2
 
@@ -316,19 +313,7 @@ def base_change_K(fs, sig, gs):
     """The cofactor K with Disc(f o g) = Disc(f)^{d^{n-1}} Res(g)^e K."""
     _validate_system(fs, sig)
     n = sig.nvars
-    if len(gs) != n:
-        raise SignatureMismatch(f"need {n} substitution forms, got {len(gs)}")
-    ds = set()
-    for g in gs:
-        if g.nvars != n or g.ring != fs[0].ring:
-            raise SignatureMismatch("substitution forms must match the system")
-        h = is_homogeneous(g)
-        if h is None or h == "any":
-            raise SignatureMismatch("substitution forms must be homogeneous and nonzero")
-        ds.add(h)
-    if len(ds) != 1:
-        raise SignatureMismatch("substitution forms must share one degree")
-    d = ds.pop()
+    d = substitution_degree(gs, fs[0], n)
     if d < 2:
         raise SignatureMismatch("base change requires degree d >= 2")
 

@@ -10,34 +10,18 @@ sum(d_j - 1).
 from __future__ import annotations
 
 from .determinants import det_poly_matrix
-from .errors import NonHomogeneous, RingMismatch, SignatureMismatch
-from .mpoly import MultiPoly, is_homogeneous, partial_derivative
+from .errors import SignatureMismatch
+from .mpoly import check_forms, form_degrees, partial_derivative
 
 __all__ = ["jac_minor", "jac_full", "jacobian_degree", "hessian", "hess_det"]
 
 
 def _validate(fs, sig):
-    if sig.r != sig.nvars - 1:
+    if sig.r != sig.nvars - 1 or sig.r < 1:
         raise SignatureMismatch(
-            f"jacobian minors need n-1 forms in n variables, got r={sig.r}, n={sig.nvars}"
+            f"need n-1 >= 1 forms in n variables, got r={sig.r}, n={sig.nvars}"
         )
-    if len(fs) != sig.r:
-        raise SignatureMismatch(f"expected {sig.r} polynomials, got {len(fs)}")
-    if not fs:
-        return
-    ring = fs[0].ring
-    for i, f in enumerate(fs):
-        if f.ring != ring:
-            raise RingMismatch("all forms must share one coefficient ring")
-        if f.nvars != sig.nvars:
-            raise SignatureMismatch(f"form {i + 1} has {f.nvars} variables, expected {sig.nvars}")
-        h = is_homogeneous(f)
-        if h is None:
-            raise NonHomogeneous(f"form {i + 1} is not homogeneous")
-        if h != "any" and h != sig.degrees[i]:
-            raise SignatureMismatch(
-                f"form {i + 1} has degree {h}, signature says {sig.degrees[i]}"
-            )
+    check_forms(fs, sig)
 
 
 def jacobian_degree(sig):
@@ -49,8 +33,6 @@ def jac_minor(fs, sig, i):
     """J_i (1-based), with the (-1)^{n-i} sign built in."""
     _validate(fs, sig)
     n = sig.nvars
-    if n < 2:
-        raise SignatureMismatch("jacobian minors need at least 2 variables")
     if not 1 <= i <= n:
         raise SignatureMismatch(f"minor index {i} out of range 1..{n}")
     cols = [k for k in range(1, n + 1) if k != i]
@@ -67,13 +49,8 @@ def jac_full(fs, sig, F):
     Expanding along the last row gives sum_i dF/dX_i * J_i.
     """
     _validate(fs, sig)
+    form_degrees([*fs, F], sig.nvars)
     n = sig.nvars
-    if fs and F.ring != fs[0].ring:
-        raise RingMismatch("F must live over the same coefficient ring")
-    if F.nvars != n:
-        raise SignatureMismatch(f"F has {F.nvars} variables, expected {n}")
-    if is_homogeneous(F) is None:
-        raise NonHomogeneous("F is not homogeneous")
     rows = [[partial_derivative(f, k) for k in range(1, n + 1)] for f in fs]
     rows.append([partial_derivative(F, k) for k in range(1, n + 1)])
     return det_poly_matrix(rows)

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 from . import ring as rg
 from .determinants import det_bareiss
-from .disc_points import disc_points
-from .errors import (
-    DegenerateSignature,
-    NonHomogeneous,
-    RingMismatch,
-    SignatureMismatch,
-)
-from .mpoly import DegreeSignature, MultiPoly, is_homogeneous, partial_derivative
+from .disc_points import _linear_slots, disc_points
+from .errors import DegenerateSignature, RingMismatch, SignatureMismatch
+from .mpoly import DegreeSignature, MultiPoly, form_degrees, partial_derivative
 from .resultant import resultant
 
 __all__ = [
@@ -63,16 +58,12 @@ class ThetaForm:
         return math.prod(self.degrees)
 
 
-def _positive_degrees(fs):
-    degrees = []
-    for f in fs:
-        h = is_homogeneous(f)
-        if h is None:
-            raise NonHomogeneous("inputs must be homogeneous")
-        if h == "any" or h < 1:
-            raise SignatureMismatch("inputs must be nonzero of positive degree")
-        degrees.append(h)
-    return tuple(degrees)
+def _positive_degrees(fs, n):
+    """Degrees of forms in n variables, each nonzero of positive degree."""
+    degrees = tuple(form_degrees(fs, n))
+    if not all(degrees):
+        raise SignatureMismatch("inputs must be nonzero of positive degree")
+    return degrees
 
 
 def _fresh_extension(ring, names):
@@ -115,10 +106,7 @@ def theta(fs):
     n = fs[0].nvars
     if len(fs) != n - 1:
         raise SignatureMismatch(f"{n} variables call for {n - 1} forms, got {len(fs)}")
-    for f in fs:
-        if f.ring != ring or f.nvars != n:
-            raise RingMismatch("forms must share one ring and variable count")
-    degrees = _positive_degrees(fs)
+    degrees = _positive_degrees(fs, n)
     ext = _fresh_extension(ring, u_names(n))
     ell_terms = {}
     for i in range(n):
@@ -174,9 +162,7 @@ def rho(p):
 def _formula_setup(fs, fn):
     fs = list(fs)
     th = theta(fs)
-    if fn.ring != th.ring or fn.nvars != th.nvars:
-        raise RingMismatch("last form must live with the others")
-    (dn,) = _positive_degrees([fn])
+    dn = _positive_degrees(fs + [fn], th.nvars)[-1]
     if math.prod(th.degrees) * dn == 1:
         raise DegenerateSignature("all degrees are 1; the formulas are not claimed")
     fn_theta = fn.substitute(list(th.partials))
@@ -245,20 +231,7 @@ def lemmaA_product(lines):
     carries the sign (-1)^{(N^2+N)/2}, N = d_1...d_{n-1}.
     """
     lines = [list(group) for group in lines]
-    if not lines or not lines[0]:
-        raise SignatureMismatch("need at least one group of linear forms")
-    ring = lines[0][0].ring
-    n = lines[0][0].nvars
-    if len(lines) != n - 1:
-        raise SignatureMismatch(f"{n} variables call for {n - 1} groups, got {len(lines)}")
-    for group in lines:
-        if not group:
-            raise SignatureMismatch("every group needs at least one linear form")
-        for l in group:
-            if l.ring != ring or l.nvars != n:
-                raise RingMismatch("linear forms must share one ring and variable count")
-            if _positive_degrees([l]) != (1,):
-                raise SignatureMismatch("generators must be linear")
+    ring, n = _linear_slots(lines)
     ext = _fresh_extension(ring, vw_names(n))
 
     def coeff_row(l):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import ring as rg
 from .errors import (
     DivisionByZero,
+    NonHomogeneous,
     NotDivisible,
     RingMismatch,
     SignatureMismatch,
@@ -32,6 +33,9 @@ __all__ = [
     "grlex_key",
     "monomials_of_degree",
     "is_homogeneous",
+    "form_degrees",
+    "check_forms",
+    "substitution_degree",
     "partial_derivative",
     "dehomogenize",
     "substitute",
@@ -432,6 +436,59 @@ def is_homogeneous(f):
     if len(degs) == 1:
         return degs.pop()
     return None
+
+
+def form_degrees(fs, nvars=None):
+    """The degree of each form in ``fs``, None for a zero form.
+
+    The forms must share one coefficient ring (else RingMismatch) and
+    one variable count, ``nvars`` when given (else SignatureMismatch),
+    and each must be homogeneous (else NonHomogeneous).
+    """
+    if nvars is None and fs:
+        nvars = fs[0].nvars
+    degrees = []
+    for i, f in enumerate(fs, 1):
+        if f.ring != fs[0].ring:
+            raise RingMismatch(f"form {i} is over {f.ring!r}, form 1 over {fs[0].ring!r}")
+        if f.nvars != nvars:
+            raise SignatureMismatch(f"form {i} has {f.nvars} variables, expected {nvars}")
+        h = is_homogeneous(f)
+        if h is None:
+            raise NonHomogeneous(f"form {i} is not homogeneous")
+        degrees.append(None if h == HOMOGENEOUS_ANY else h)
+    return degrees
+
+
+def check_forms(fs, sig):
+    """Check ``fs`` against ``sig``; a zero form fits any degree.
+
+    Returns the common coefficient ring (None when ``fs`` is empty).
+    """
+    if len(fs) != sig.r:
+        raise SignatureMismatch(f"expected {sig.r} forms, got {len(fs)}")
+    for i, (h, d) in enumerate(zip(form_degrees(fs, sig.nvars), sig.degrees), 1):
+        if h is not None and h != d:
+            raise SignatureMismatch(f"form {i} has degree {h}, signature says {d}")
+    return fs[0].ring if fs else None
+
+
+def substitution_degree(gs, like, n):
+    """The one degree shared by n nonzero substitution forms in n variables.
+
+    The forms ``gs`` must live over the coefficient ring of the form
+    ``like`` they are substituted into.
+    """
+    if len(gs) != n:
+        raise SignatureMismatch(f"need {n} substitution forms, got {len(gs)}")
+    degrees = set(form_degrees(gs, n))
+    if gs[0].ring != like.ring:
+        raise RingMismatch("substitution forms must share the ring of the forms they enter")
+    if None in degrees:
+        raise SignatureMismatch("substitution forms must be nonzero")
+    if len(degrees) != 1:
+        raise SignatureMismatch(f"substitution forms must share one degree, got {sorted(degrees)}")
+    return degrees.pop()
 
 
 def partial_derivative(f, i):

@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 from . import ring as rg
 from .errors import (
-    NonHomogeneous,
+    ElimkitError,
     PerturbationDegenerate,
     SignatureMismatch,
     TooLarge,
@@ -32,8 +33,10 @@ from .jacobian import jac_minor
 from .mpoly import (
     DegreeSignature,
     MultiPoly,
+    check_forms,
+    form_degrees,
+    generic_coeff_names,
     generic_system,
-    is_homogeneous,
     poly_exact_div,
 )
 from .resultant import resultant
@@ -80,18 +83,11 @@ class GenericCacheEntry:
         one-element list for the hypersurface kind).  Returns a
         RingElement over the forms' ring, which must have a scalar base.
         """
-        if len(fs) != self.sig.r:
-            raise SignatureMismatch(f"expected {self.sig.r} forms, got {len(fs)}")
-        ring = fs[0].ring
+        ring = check_forms(fs, self.sig)
         values = []
         for name in self.names:
             i, exp = _parse_name(name)
-            f = fs[i - 1]
-            if f.nvars != self.sig.nvars:
-                raise SignatureMismatch(
-                    f"form {i} has {f.nvars} variables, expected {self.sig.nvars}"
-                )
-            values.append(f.coefficient_of(exp))
+            values.append(fs[i - 1].coefficient_of(exp))
         return rg.RingElement(ring, self.disc.change_ring(ring).evaluate(values))
 
 
@@ -167,14 +163,13 @@ def clear_generic_cache():
     _memory_cache.clear()
 
 
-def _compute_generic(kind, sig):
-    from .mpoly import generic_coeff_names
+def _generic_names(sig):
+    return tuple(nm for i in range(1, sig.r + 1) for nm in generic_coeff_names(sig, i))
 
+
+def _compute_generic(kind, sig):
     n = sig.nvars
-    names = []
-    for i in range(1, sig.r + 1):
-        names.extend(generic_coeff_names(sig, i))
-    names = tuple(names)
+    names = _generic_names(sig)
 
     if kind == "points":
         if all(d == 1 for d in sig.degrees):
@@ -235,28 +230,40 @@ def _store_disk(entry):
             "names": list(entry.names),
             "terms": [[list(e), str(c)] for e, c in sorted(entry.disc.terms.items())],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError:
         pass
 
 
 def _load_disk(kind, sig):
+    """The stored entry, or None when it is missing, stale or malformed."""
     path = _cache_path(kind, sig)
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):
+        if not isinstance(doc, dict) or doc.get("format") != _CACHE_FORMAT:
+            return None
+        if doc.get("kind") != kind or doc.get("nvars") != sig.nvars:
+            return None
+        if tuple(doc.get("degrees", ())) != sig.degrees:
+            return None
+        names = tuple(doc["names"])
+        if names != _generic_names(sig):
+            return None
+        # str() first, so that a float or bool coefficient is refused, not truncated
+        terms = [(tuple(e), int(str(c))) for e, c in doc["terms"]]
+        disc = MultiPoly.from_terms(rg.ZZ, len(names), terms)
+    except (OSError, KeyError, TypeError, ValueError, ElimkitError):
         return None
-    if doc.get("format") != _CACHE_FORMAT or doc.get("kind") != kind:
-        return None
-    if doc.get("nvars") != sig.nvars or tuple(doc.get("degrees", ())) != sig.degrees:
-        return None
-    names = tuple(doc["names"])
-    terms = [(tuple(e), int(c)) for e, c in doc["terms"]]
-    disc = MultiPoly.from_terms(rg.ZZ, len(names), terms)
     return GenericCacheEntry(kind, sig, names, disc)
 
 
@@ -466,6 +473,18 @@ def _check_prime_field(ring):
     return q
 
 
+def _prime_field_system(fs):
+    """(q, signature) of n-1 forms in n variables over Z/qZ; a zero form counts as degree 1."""
+    if not fs:
+        raise SignatureMismatch("need at least one form")
+    n = fs[0].nvars
+    if len(fs) != n - 1:
+        raise SignatureMismatch(f"expected {n - 1} forms in {n} variables, got {len(fs)}")
+    degrees = form_degrees(fs, n)
+    q = _check_prime_field(fs[0].ring)
+    return q, DegreeSignature(n, tuple(1 if d is None else d for d in degrees))
+
+
 def _eval_point(gf, f, point):
     """Evaluate a form over Z/qZ at a point with GFExt coordinates."""
     total = 0
@@ -480,20 +499,8 @@ def _eval_point(gf, f, point):
 
 def singular_points(fs):
     """All F_q-points where every form and every Jacobian minor vanishes."""
-    if not fs:
-        raise SignatureMismatch("need at least one form")
-    ring = fs[0].ring
-    q = _check_prime_field(ring)
-    n = fs[0].nvars
-    if len(fs) != n - 1:
-        raise SignatureMismatch(f"expected {n - 1} forms in {n} variables, got {len(fs)}")
-    degs = []
-    for f in fs:
-        h = is_homogeneous(f)
-        if h is None:
-            raise NonHomogeneous("forms must be homogeneous")
-        degs.append(1 if h == "any" else h)
-    sig = DegreeSignature(n, tuple(degs))
+    q, sig = _prime_field_system(fs)
+    n = sig.nvars
     minors = [jac_minor(fs, sig, i) for i in range(1, n + 1)]
     gf = GFExt.get(q, 1)
     out = set()
@@ -621,20 +628,8 @@ def poi_check(fs, max_extension=3):
     existence over the closure; exhausting the tested extensions without
     a find is conclusive only in the Disc != 0 direction.
     """
-    if not fs:
-        raise SignatureMismatch("need at least one form")
-    ring = fs[0].ring
-    q = _check_prime_field(ring)
-    n = fs[0].nvars
-    if len(fs) != n - 1:
-        raise SignatureMismatch(f"expected {n - 1} forms in {n} variables, got {len(fs)}")
-    degs = []
-    for f in fs:
-        h = is_homogeneous(f)
-        if h is None:
-            raise NonHomogeneous("forms must be homogeneous")
-        degs.append(1 if h == "any" else h)
-    sig = DegreeSignature(n, tuple(degs))
+    q, sig = _prime_field_system(fs)
+    n = sig.nvars
     if any(d % q == 0 for d in sig.degrees):
         return PoiVerdict(
             "skipped", f"characteristic {q} divides a degree in {sig.degrees}"

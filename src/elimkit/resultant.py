@@ -24,20 +24,14 @@ from dataclasses import dataclass
 
 from . import ring as rg
 from .determinants import det_payload_auto
-from .errors import (
-    NonHomogeneous,
-    NotGeneric,
-    PerturbationDegenerate,
-    RingMismatch,
-    SignatureMismatch,
-)
+from .errors import NotGeneric, PerturbationDegenerate, SignatureMismatch
 from .mpoly import (
     DegreeSignature,
     MultiPoly,
+    check_forms,
     dehomogenize,
     flatten_extension,
     generic_system,
-    is_homogeneous,
     isobaric_part,
     monomials_of_degree,
     poly_exact_div,
@@ -94,24 +88,7 @@ def _validate_system(fs, sig):
         raise SignatureMismatch(
             f"resultant needs as many forms as variables, got {sig.r} for n={sig.nvars}"
         )
-    if len(fs) != sig.r:
-        raise SignatureMismatch(f"expected {sig.r} polynomials, got {len(fs)}")
-    ring = fs[0].ring
-    for i, f in enumerate(fs):
-        if f.ring != ring:
-            raise RingMismatch("all input forms must share one coefficient ring")
-        if f.nvars != sig.nvars:
-            raise SignatureMismatch(
-                f"form {i + 1} has {f.nvars} variables, signature says {sig.nvars}"
-            )
-        h = is_homogeneous(f)
-        if h is None:
-            raise NonHomogeneous(f"form {i + 1} is not homogeneous")
-        if h != "any" and h != sig.degrees[i]:
-            raise SignatureMismatch(
-                f"form {i + 1} has degree {h}, signature says {sig.degrees[i]}"
-            )
-    return ring
+    return check_forms(fs, sig)
 
 
 def build_macaulay(fs, sig):

@@ -132,6 +132,22 @@ class TestParseFailures:
         payload = json.loads(result.stderr)
         assert payload["error"] == "DocumentError"
 
+    def test_zero_form_without_a_declared_degree(self):
+        doc = int_doc(2, [{(2, 0): 1}, {(0, 2): 1}])
+        doc["polynomials"][0] = {"terms": []}
+        result = run(["res"], doc)
+        assert result.exit_code == 3
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "SignatureMismatch"
+        assert "form 1" in payload["message"]
+
+    def test_mixed_degree_form_is_not_homogeneous(self):
+        doc = int_doc(2, [{(2, 0): 1, (1, 0): 1}, {(0, 2): 1}])
+        del doc["polynomials"][0]["degree"]
+        result = run(["res"], doc)
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["error"] == "NonHomogeneous"
+
 
 class TestResCommand:
     def test_pure_powers(self):
@@ -162,6 +178,13 @@ class TestResCommand:
     def test_missing_file_is_a_parse_error(self):
         assert run(["res", "/nonexistent/system.json"]).exit_code == 2
 
+    def test_zero_form_takes_its_declared_degree(self):
+        doc = int_doc(2, [{(2, 0): 1}, {(0, 2): 1}])
+        doc["polynomials"][0]["terms"] = []
+        result = run(["res"], doc)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["value"] == "0"
+
 
 class TestDiscCommands:
     def test_points_binary_quadratic(self):
@@ -169,6 +192,13 @@ class TestDiscCommands:
         result = run(["disc-points"], doc)
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == "59"
+
+    def test_points_zero_form_takes_its_declared_degree(self):
+        doc = int_doc(3, [{(2, 0, 0): 1}, {(0, 2, 0): 1}])
+        doc["polynomials"][0]["terms"] = []
+        result = run(["disc-points"], doc)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["value"] == "0"
 
     def test_hyper_diagonal_cubic(self):
         doc = int_doc(2, [{(3, 0): 2, (0, 3): 5}])

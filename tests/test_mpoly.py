@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elimkit.ring as rg
+from elimkit.disc_hyper import disc_hyper_basechange
+from elimkit.disc_points import base_change_K, disc_points, linear_forms_disc
 from elimkit.errors import (
     NonHomogeneous,
     NotDivisible,
@@ -13,6 +15,8 @@ from elimkit.errors import (
     SignatureMismatch,
     UnweightedSymbol,
 )
+from elimkit.jacobian import jac_full, jac_minor
+from elimkit.mertens import lemmaA_product, theta
 from elimkit.mpoly import (
     DegreeSignature,
     MultiPoly,
@@ -36,6 +40,8 @@ from elimkit.mpoly import (
     weight_valuation,
     zariski_weight_vector,
 )
+from elimkit.oracle import poi_check, singular_points
+from elimkit.resultant import resultant
 
 
 def P(terms, ring=rg.ZZ, nvars=2):
@@ -297,3 +303,54 @@ class TestSignature:
         sig = DegreeSignature(3, (2, 3, 4))
         assert sig.critical_degree == (1 + 2 + 3) + 1
         assert sig.r == 3
+
+
+def _form(ring, n, exps):
+    return MultiPoly(ring, n, {e: 1 for e in exps})
+
+
+def _good(n, d):
+    """X1^d + Xn^d over Z/5."""
+    return _form(rg.Zmod(5), n, [(d,) + (0,) * (n - 1), (0,) * (n - 1) + (d,)])
+
+
+def _odd(defect, n, d):
+    """A degree-d form in n variables that breaks one rule of the input contract."""
+    if defect == "ring":
+        return _form(rg.Zmod(7), n, [(d,) + (0,) * (n - 1)])
+    if defect == "nvars":
+        return _good(n + 1, d)
+    # terms of degrees d and d - 1
+    return _form(rg.Zmod(5), n, [(d,) + (0,) * (n - 1), (0,) * (n - 1) + (d - 1,)])
+
+
+CONICS = DegreeSignature(3, (2, 2))
+
+CONTRACT_ENTRIES = {
+    "resultant": lambda d: resultant([_good(2, 2), _odd(d, 2, 2)], DegreeSignature(2, (2, 2))),
+    "disc_points": lambda d: disc_points([_good(3, 2), _odd(d, 3, 2)], CONICS),
+    "jac_minor": lambda d: jac_minor([_good(3, 2), _odd(d, 3, 2)], CONICS, 1),
+    "jac_full": lambda d: jac_full([_good(3, 2), _good(3, 2)], CONICS, _odd(d, 3, 2)),
+    "theta": lambda d: theta([_good(3, 2), _odd(d, 3, 2)]),
+    "lemmaA_product": lambda d: lemmaA_product([[_good(3, 1)], [_odd(d, 3, 1)]]),
+    "linear_forms_disc": lambda d: linear_forms_disc([[_good(3, 1)], [_odd(d, 3, 1)]]),
+    "singular_points": lambda d: singular_points([_good(3, 2), _odd(d, 3, 2)]),
+    "poi_check": lambda d: poi_check([_good(3, 2), _odd(d, 3, 2)]),
+    "base_change_K": lambda d: base_change_K(
+        [_good(3, 2), _good(3, 2)], CONICS, [_good(3, 2), _good(3, 2), _odd(d, 3, 2)]
+    ),
+    "disc_hyper_basechange": lambda d: disc_hyper_basechange(
+        _good(2, 2), [_good(2, 2), _odd(d, 2, 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "defect,error",
+    [("ring", RingMismatch), ("nvars", SignatureMismatch), ("mixed", NonHomogeneous)],
+)
+@pytest.mark.parametrize("entry", sorted(CONTRACT_ENTRIES))
+def test_one_input_contract(entry, defect, error):
+    """Every entry point taking a system of forms rejects the same defects the same way."""
+    with pytest.raises(error):
+        CONTRACT_ENTRIES[entry](defect)

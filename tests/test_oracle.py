@@ -211,6 +211,31 @@ class TestDiskCache:
         assert entry.disc.terms == {(1, 0, 1): 4, (0, 2, 0): -1}
         clear_generic_cache()
 
+    @pytest.mark.parametrize("defect", ["no names", "bad coefficient"])
+    def test_incomplete_or_ill_typed_entry_is_recomputed(self, tmp_path, monkeypatch, defect):
+        monkeypatch.setenv("ELIMKIT_CACHE_DIR", str(tmp_path))
+        doc = {
+            "format": 1,
+            "kind": "points",
+            "nvars": 2,
+            "degrees": [2],
+            "names": ["U1_2_0", "U1_1_1", "U1_0_2"],
+            "terms": [[[1, 0, 1], "4"], [[0, 2, 0], "-1"]],
+        }
+        if defect == "no names":
+            del doc["names"]
+        else:
+            doc["terms"][0][1] = "x"
+        path = tmp_path / "disc_points_n2_d2.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        clear_generic_cache()
+        entry = generic_disc(DegreeSignature(2, (2,)))
+        assert entry.disc.terms == {(1, 0, 1): 4, (0, 2, 0): -1}
+        # the recomputed entry replaced the bad file, through no leftover temp file
+        assert json.loads(path.read_text(encoding="utf-8"))["names"] == list(entry.names)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        clear_generic_cache()
+
 
 class TestSingularPoints:
     def test_double_line(self):
