@@ -58,9 +58,10 @@ from .errors import (
     SignatureMismatch,
     UnknownSuite,
 )
-from .jacobian import jac_full, jac_minor
+from .jacobian import jac_full, jac_minor, jacobian_degree
 from .mertens import mertens_first, mertens_second
 from .mpoly import (
+    HOMOGENEOUS_ANY,
     DegreeSignature,
     MultiPoly,
     form_degrees,
@@ -171,18 +172,24 @@ def default_variables(n):
     return [f"X{i}" for i in range(1, n + 1)]
 
 
-def poly_to_json(f):
+def poly_to_json(f, degree=None):
+    """The document of ``f``.
+
+    It declares ``"degree"`` only for a form: the degree of a nonzero
+    homogeneous ``f``, else ``degree``, the intended degree of a zero form.
+    """
     h = is_homogeneous(f)
-    degree = 0 if h in (None, "any") else h
-    if h is None:
-        degree = max((sum(e) for e in f.terms), default=0)
-    return {
-        "degree": degree,
+    if h != HOMOGENEOUS_ANY:
+        degree = h  # None when f is not homogeneous
+    doc = {
         "terms": [
             {"coeff": coeff_to_json(f.ring, c), "exp": list(e)}
             for e, c in _ordered(f.terms)
         ],
     }
+    if degree is not None:
+        doc["degree"] = degree
+    return doc
 
 
 def poly_from_json(ring, nvars, doc):
@@ -224,12 +231,15 @@ def system_from_json(doc):
     return ring, nvars, list(variables), [poly_from_json(ring, nvars, p) for p in polys]
 
 
-def system_to_json(ring, nvars, variables, fs):
+def system_to_json(ring, nvars, variables, fs, degrees=None):
+    """The document of the forms ``fs``; ``degrees`` as in poly_to_json."""
+    if degrees is None:
+        degrees = [None] * len(fs)
     return {
         "ring": ring.to_json(),
         "nvars": nvars,
         "variables": list(variables),
-        "polynomials": [poly_to_json(f) for f in fs],
+        "polynomials": [poly_to_json(f, d) for f, d in zip(fs, degrees)],
     }
 
 
@@ -410,7 +420,7 @@ def cmd_jacobian(document, fmt, index):
     ring, nvars, variables, fs = system_from_json(doc)
     sig = _signature_for(doc, fs, nvars, nvars - 1)
     out = jac_minor(fs, sig, index)
-    _print(system_to_json(ring, nvars, variables, [out]), fmt)
+    _print(system_to_json(ring, nvars, variables, [out], [jacobian_degree(sig)]), fmt)
 
 
 @main.command("delta-mod")
@@ -423,7 +433,7 @@ def cmd_delta_mod(document, fmt):
     ring, nvars, variables, fs = system_from_json(doc)
     sig = _signature_for(doc, fs, nvars, nvars - 1)
     out = delta_mod_delta(fs, sig)
-    payload = system_to_json(out.ring, nvars, variables, [out])
+    payload = system_to_json(out.ring, nvars, variables, [out], [jacobian_degree(sig) - 1])
     payload["delta"] = math.gcd(*sig.degrees)
     _print(payload, fmt)
 

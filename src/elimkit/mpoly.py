@@ -11,6 +11,7 @@ X_1, ..., X_n notation.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -533,10 +534,18 @@ def substitute(f, images):
 def poly_exact_div(a, b):
     """The quotient q with q*b = a, when it exists in the polynomial ring.
 
-    Greedy leading-term division under graded lex.  Raises NotDivisible
-    with the sticking remainder as witness.  Over coefficient rings with
-    zero divisors a unique quotient may be unreachable this way; callers
-    working modulo a composite number should lift to Z first.
+    Leading-term division under graded lex, on a heap (Monagan and
+    Pearce, "Sparse polynomial division using a heap", 2011).  The
+    remainder is a dict updated in place, and a max-heap of its monomials
+    yields its leading term; a popped monomial that has meanwhile
+    cancelled out of the dict is skipped.  Each step subtracts
+    qc * X^ne * tail(b), whose monomials all lie below the one just
+    removed, so no step copies or rescans the remainder.
+
+    Raises NotDivisible with the remainder at that step as witness.
+    Over coefficient rings with zero divisors a unique quotient may be
+    unreachable this way; callers working modulo a composite number
+    should lift to Z first.
     """
     if not isinstance(a, MultiPoly) or not isinstance(b, MultiPoly):
         raise RingMismatch("poly_exact_div expects MultiPoly operands")
@@ -545,21 +554,44 @@ def poly_exact_div(a, b):
         raise DivisionByZero("polynomial division by zero")
     ring = a.ring
     eb, cb = b.leading()
+    tail = [(e, c) for e, c in b.terms.items() if e != eb]
+    rem = dict(a.terms)
+    # heap entries (-degree, negated exponents, exponents): the smallest
+    # entry is the graded-lex largest monomial
+    heap = [(-sum(e), tuple(-k for k in e), e) for e in rem]
+    heapq.heapify(heap)
     qterms = {}
-    rem = a
-    while not rem.is_zero():
-        er, cr = rem.leading()
+    while heap:
+        er = heapq.heappop(heap)[2]
+        cr = rem.get(er)
+        if cr is None:
+            continue
         ne = tuple(x - y for x, y in zip(er, eb))
         if any(k < 0 for k in ne):
-            raise NotDivisible("leading monomial not divisible", witness=rem)
+            raise NotDivisible("leading monomial not divisible", witness=MultiPoly(ring, a.nvars, rem))
         try:
             qc = rg.val_exact_divide(ring, cr, cb)
         except NotDivisible as exc:
-            raise NotDivisible("leading coefficient not divisible", witness=rem) from exc
+            raise NotDivisible(
+                "leading coefficient not divisible", witness=MultiPoly(ring, a.nvars, rem)
+            ) from exc
         qterms[ne] = qc
-        rem = rem.sub(b.mul_monomial(ne, qc))
-        if not rem.is_zero() and grlex_key(rem.leading()[0]) >= grlex_key(er):
-            raise NotDivisible("division does not make progress", witness=rem)
+        del rem[er]  # qc * cb = cr exactly
+        for e, c in tail:
+            p = rg.val_mul(ring, qc, c)
+            if rg.val_is_zero(ring, p):
+                continue
+            k = tuple(x + y for x, y in zip(e, ne))
+            old = rem.get(k)
+            if old is None:
+                rem[k] = rg.val_neg(ring, p)
+                heapq.heappush(heap, (-sum(k), tuple(-x for x in k), k))
+            else:
+                s = rg.val_sub(ring, old, p)
+                if rg.val_is_zero(ring, s):
+                    del rem[k]
+                else:
+                    rem[k] = s
     return MultiPoly(ring, a.nvars, qterms)
 
 

@@ -15,6 +15,11 @@ the value down.
 
 Modular coefficients are canonically lifted to Z, computed there, and
 reduced back; this is also how the value is defined in that case.
+Rational coefficients are cleared as well: each f_i is scaled by the lcm
+c_i of its denominators, the resultant of the scaled forms is computed
+over Z, and it is divided once by prod_i c_i^{prod_{j != i} d_j}, since
+the resultant is homogeneous of that degree in the coefficients of f_i.
+So over Z, Q and Z/m every determinant is taken over Z.
 """
 
 from __future__ import annotations
@@ -158,12 +163,29 @@ def resultant(fs, sig, use_fast_paths=True):
             return rg.RingElement(ring, diag)
     if rg.scalar_base(ring).kind == rg.MODULAR:
         return via_lift(lambda lifted: resultant(lifted, sig, use_fast_paths), fs)
+    if ring == rg.QQ:
+        return _over_integers(lambda scaled: resultant(scaled, sig, use_fast_paths), fs, sig)
     ms = build_macaulay(fs, sig)
     den = ms.denominator_det()
     if rg.val_is_nzd(ring, den):
         num = ms.numerator_det()
         return rg.RingElement(ring, rg.val_exact_divide(ring, num, den))
     return gcp_resultant(fs, sig)
+
+
+def _over_integers(compute, fs, sig):
+    """Res over Q from compute(the forms c_i f_i), a resultant over Z.
+
+    c_i is the lcm of the denominators of f_i; the resultant is
+    homogeneous of degree prod_{j != i} d_j in the coefficients of f_i.
+    """
+    scaled, divisor = [], 1
+    for f, d in zip(fs, sig.degrees):
+        c = math.lcm(*(x.denominator for x in f.terms.values()))
+        scaled.append(MultiPoly(rg.ZZ, f.nvars, {e: (x * c).numerator for e, x in f.terms.items()}))
+        divisor *= c ** (math.prod(sig.degrees) // d)
+    value = compute(scaled).value
+    return rg.RingElement(rg.QQ, rg.val_from_int(rg.QQ, value) / divisor)
 
 
 def gcp_resultant(fs, sig):
@@ -181,6 +203,8 @@ def gcp_resultant(fs, sig):
         return rg.RingElement(ring, rg.val_zero(ring))
     if rg.scalar_base(ring).kind == rg.MODULAR:
         return via_lift(lambda lifted: gcp_resultant(lifted, sig), fs)
+    if ring == rg.QQ:
+        return _over_integers(lambda scaled: gcp_resultant(scaled, sig), fs, sig)
     ms = build_macaulay(fs, sig)
 
     def sample(t):

@@ -91,6 +91,12 @@ class TestDocumentRoundTrip:
         assert [f.terms for f in fs2] == [f.terms for f in fs]
         assert system_to_json(ring2, nvars2, variables2, fs2) == doc
 
+    def test_non_homogeneous_polynomial_round_trips(self):
+        f = MultiPoly(rg.ZZ, 2, {(2, 0): 1, (1, 0): 1})
+        doc = system_to_json(rg.ZZ, 2, ["X1", "X2"], [f])
+        assert "degree" not in doc["polynomials"][0]
+        assert system_from_json(doc)[3][0].eq(f)
+
     def test_terms_print_in_graded_lex_descending_order(self):
         f = MultiPoly(rg.ZZ, 2, {(0, 2): 1, (2, 0): 1, (1, 1): 1})
         doc = poly_to_json(f)
@@ -248,6 +254,17 @@ class TestJacobianCommand:
     def test_bad_index(self):
         doc = int_doc(3, [{(2, 0, 0): 1}, {(0, 2, 0): 1}])
         assert run(["jacobian", "--index", "5"], doc).exit_code == 3
+
+    def test_zero_minor_reads_back_with_its_degree(self):
+        # J_1 = -d(X1^2)/dX2 = 0, a zero form of degree 1
+        result = run(["jacobian", "-i", "1"], int_doc(2, [{(2, 0): 1}]))
+        assert result.exit_code == 0
+        got = json.loads(result.output)
+        assert got["polynomials"] == [{"degree": 1, "terms": []}]
+        got["polynomials"].append(int_doc(2, [{(0, 1): 1}])["polynomials"][0])
+        res = run(["res"], got)
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["value"] == "0"
 
 
 class TestDeltaModCommand:

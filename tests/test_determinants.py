@@ -1,6 +1,7 @@
 """Determinant engines: Bareiss, the packed division-free DP, dispatch."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -154,3 +155,22 @@ def test_det_poly_matrix_large_path():
     ints = [[next(iter(mat[i][j].terms.values()), 0) for j in range(n)] for i in range(n)]
     # substituting 1 for the symbol must give the integer determinant
     assert got.evaluate([1]) == naive_det(ints)
+
+
+def test_int_kernel_matches_rational_bareiss():
+    """The plain-int elimination agrees with the generic one over Q."""
+    rnd = random.Random(11)
+    singular = 0
+    for _ in range(60):
+        n = rnd.randint(1, 8)
+        rows = [[rnd.choice((0, 0, rnd.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        if n >= 3 and rnd.random() < 0.4:
+            # a row that combines two others makes the matrix singular
+            a, b, c = rnd.sample(range(n), 3)
+            ka, kb = rnd.randint(-3, 3), rnd.randint(-3, 3)
+            rows[c] = [ka * x + kb * y for x, y in zip(rows[a], rows[b])]
+        want = det_bareiss(rg.QQ, [[Fraction(x) for x in r] for r in rows])
+        got = det_bareiss(rg.ZZ, rows)
+        assert type(got) is int and got == want
+        singular += got == 0
+    assert 0 < singular < 60

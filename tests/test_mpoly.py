@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials over the coefficient rings."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,11 +50,22 @@ def P(terms, ring=rg.ZZ, nvars=2):
     return MultiPoly(ring, nvars, terms)
 
 
-def small_polys(nvars=2, maxdeg=3, coeff=st.integers(-6, 6)):
+def small_polys(nvars=2, maxdeg=3, coeff=st.integers(-6, 6), ring=rg.ZZ):
     exps = st.tuples(*([st.integers(0, maxdeg)] * nvars))
     return st.dictionaries(exps, coeff, max_size=5).map(
-        lambda d: MultiPoly(rg.ZZ, nvars, {e: c for e, c in d.items() if c})
+        lambda d: MultiPoly(ring, nvars, {e: c for e, c in d.items() if not rg.val_is_zero(ring, c)})
     )
+
+
+# payload strategies of the coefficient rings poly_exact_div serves; a + b*s over Z[s]
+DIVISION_PAYLOADS = {
+    rg.ZZ: st.integers(-6, 6),
+    rg.QQ: st.fractions(-4, 4, max_denominator=5),
+    rg.Zmod(7): st.integers(0, 6),
+    rg.polyext(rg.ZZ, ("s",)): st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda t: MultiPoly(rg.ZZ, 1, {(k,): c for k, c in enumerate(t) if c})
+    ),
+}
 
 
 class TestArithmetic:
@@ -174,6 +187,43 @@ class TestExactDivision:
         if g.is_zero():
             return
         assert poly_exact_div(f.mul(g), g).eq(f)
+
+    @pytest.mark.parametrize("ring", list(DIVISION_PAYLOADS), ids=repr)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_quotient_and_remainder_witness(self, ring, data):
+        """(q*b)/b == q; q*b + r raises when no term of r reaches lead(b)."""
+        polys = small_polys(coeff=DIVISION_PAYLOADS[ring], ring=ring)
+        q, b = data.draw(polys), data.draw(polys)
+        if b.is_zero():
+            return
+        assert poly_exact_div(q.mul(b), b).eq(q)
+        lead = grlex_key(b.leading()[0])
+        r = data.draw(polys)
+        r = MultiPoly(ring, 2, {e: c for e, c in r.terms.items() if grlex_key(e) < lead})
+        if r.is_zero():
+            return
+        with pytest.raises(NotDivisible) as info:
+            poly_exact_div(q.mul(b).add(r), b)
+        assert isinstance(info.value.witness, MultiPoly)
+        assert info.value.witness.ring == ring and not info.value.witness.is_zero()
+
+    def test_failure_raises_under_python_dash_o(self):
+        code = (
+            "from elimkit import ring as rg\n"
+            "from elimkit.errors import NotDivisible\n"
+            "from elimkit.mpoly import MultiPoly, poly_exact_div\n"
+            "a = MultiPoly(rg.ZZ, 2, {(2, 0): 2, (0, 0): 1})\n"
+            "b = MultiPoly(rg.ZZ, 2, {(1, 0): 2})\n"
+            "try:\n"
+            "    poly_exact_div(a, b)\n"
+            "except NotDivisible as exc:\n"
+            "    print(exc.witness.terms)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0 and out.stdout.strip() == "{(0, 0): 1}"
 
     def test_poly_sqrt(self):
         f = P({(2, 0): 1, (1, 1): -3, (0, 1): 7})

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -22,6 +23,7 @@ from elimkit.mpoly import (
 from elimkit.resultant import (
     build_macaulay,
     gcp_resultant,
+    interpolate_at_zero,
     is_inertia_form_generic,
     resultant,
     zariski_lowest_part,
@@ -267,6 +269,70 @@ class TestMacaulay:
                 assert got == gcp_resultant(fs, sig) == generic_value(sig, fs)
                 nonzero += not got.is_zero()
         assert nonzero
+
+
+class TestRationals:
+    """Over Q the resultant is computed over Z from the forms c_i f_i."""
+
+    @staticmethod
+    def rational_form(rnd, n, d):
+        terms = {}
+        for e in monomials_of_degree(n, d):
+            c = Fraction(rnd.randint(-9, 9), rnd.choice((1, 2, 3, 4, 6)))
+            if c:
+                terms[e] = c
+        return MultiPoly(rg.QQ, n, terms)
+
+    @staticmethod
+    def over_integers(fs, sig):
+        """Res of the forms scaled to integer coefficients, and prod c_i^{e_i}."""
+        scaled, divisor = [], 1
+        for f, d in zip(fs, sig.degrees):
+            c = math.lcm(*(x.denominator for x in f.terms.values()))
+            scaled.append(MultiPoly(rg.ZZ, f.nvars, {e: int(x * c) for e, x in f.terms.items()}))
+            divisor *= c ** (math.prod(sig.degrees) // d)
+        return resultant(scaled, sig).value, divisor
+
+    @staticmethod
+    def fraction_gcp(fs, sig):
+        """R(0) from Macaulay ratios of the perturbed forms, over Fraction."""
+        ms = build_macaulay(fs, sig)
+
+        def sample(t):
+            den = ms.denominator_det(t)
+            return None if den == 0 else ms.numerator_det(t) / den
+
+        degree = sum(math.prod(sig.degrees) // d for d in sig.degrees)
+        return interpolate_at_zero(rg.QQ, sample, degree, len(ms.reduced), monic=True)
+
+    def test_degenerate_system(self):
+        # without X1^2 in f_1 the reduced Macaulay matrix of (3; 2,2,2) is singular
+        rnd = random.Random(77)
+        sig = DegreeSignature(3, (2, 2, 2))
+        nonzero = 0
+        for _ in range(3):
+            fs = [self.rational_form(rnd, 3, 2) for _ in range(3)]
+            fs[0] = MultiPoly(rg.QQ, 3, {e: c for e, c in fs[0].terms.items() if e != (2, 0, 0)})
+            assert any(c.denominator > 1 for f in fs for c in f.terms.values())
+            assert build_macaulay(fs, sig).denominator_det() == 0
+            got = resultant(fs, sig)
+            assert got.ring == rg.QQ
+            assert got == gcp_resultant(fs, sig)
+            assert got.value == self.fraction_gcp(fs, sig)
+            value, divisor = self.over_integers(fs, sig)
+            assert got.value == Fraction(value, divisor)
+            nonzero += not got.is_zero()
+        assert nonzero
+
+    def test_macaulay_ratio(self):
+        rnd = random.Random(78)
+        for sig in (DegreeSignature(2, (2, 3)), DegreeSignature(3, (2, 1, 2))):
+            fs = [self.rational_form(rnd, sig.nvars, d) for d in sig.degrees]
+            ms = build_macaulay(fs, sig)
+            want = ms.numerator_det() / ms.denominator_det()
+            assert resultant(fs, sig).value == want
+            value, divisor = self.over_integers(fs, sig)
+            assert want == Fraction(value, divisor)
 
 
 class TestInertia:
