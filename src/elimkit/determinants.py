@@ -8,11 +8,12 @@ Three engines cover the shapes of matrix this package meets:
   (Bareiss 1968) and checked: a nonzero remainder raises NotDivisible.
   Over Z the same elimination runs on plain ints, with no payload
   dispatch, which is where every numeric resultant over Z, Q and Z/m
-  ends up.
+  ends up, and every sample of one over Z[s], Q[s] and Z/m[s].
 * :func:`det_packed` — division-free minor expansion over column subsets,
   specialized to polynomial entries with integer coefficients packed into
   integer exponent keys.  This handles the large sparse symbolic Macaulay
-  matrices where Bareiss would drown in intermediate swell.
+  matrices (two or more parameters, generic systems) where Bareiss would
+  drown in intermediate swell.
 * :func:`det_poly_matrix` — small matrices of MultiPoly entries (Jacobian
   work), cofactor expansion up to 4x4 and Bareiss beyond.
 
@@ -80,7 +81,13 @@ def det_bareiss(ring, rows):
 
 
 def _bareiss_int(m):
-    """det_bareiss on a square list of int rows, eliminated in place."""
+    """det_bareiss on a square list of int rows, eliminated in place.
+
+    Where the pivot row holds a zero the update of an entry x is
+    pivval * x / prev, so a zero stays zero and only nonzero entries are
+    computed there; a row whose entry in the pivot column is zero is only
+    scaled that way.  This is what keeps banded Macaulay matrices cheap.
+    """
     n = len(m)
     sign = 1
     prev = 1
@@ -99,15 +106,26 @@ def _bareiss_int(m):
             sign = -sign
         row_k = m[k]
         pivval = row_k[k]
-        for i in range(k + 1, n):
+        rest = range(k + 1, n)
+        live = [j for j in rest if row_k[j]]
+        idle = [j for j in rest if not row_k[j]]
+        for i in rest:
             row_i = m[i]
             mik = row_i[k]
-            for j in range(k + 1, n):
-                q, r = divmod(pivval * row_i[j] - mik * row_k[j], prev)
-                if r:
-                    raise NotDivisible(f"Bareiss step {k}: entry not a multiple of {prev}", witness=r)
-                row_i[j] = q
-            row_i[k] = 0
+            for j in idle if mik else rest:
+                x = row_i[j]
+                if x:
+                    q, r = divmod(pivval * x, prev)
+                    if r:
+                        raise NotDivisible(f"Bareiss step {k}: entry not a multiple of {prev}", witness=r)
+                    row_i[j] = q
+            if mik:
+                for j in live:
+                    q, r = divmod(pivval * row_i[j] - mik * row_k[j], prev)
+                    if r:
+                        raise NotDivisible(f"Bareiss step {k}: entry not a multiple of {prev}", witness=r)
+                    row_i[j] = q
+                row_i[k] = 0
         prev = pivval
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d

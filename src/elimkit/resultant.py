@@ -20,6 +20,21 @@ c_i of its denominators, the resultant of the scaled forms is computed
 over Z, and it is divided once by prod_i c_i^{prod_{j != i} d_j}, since
 the resultant is homogeneous of that degree in the coefficients of f_i.
 So over Z, Q and Z/m every determinant is taken over Z.
+
+Over a ring with one parameter, Z[s], Q[s] or Z/m[s] (the last two
+cleared or lifted to Z[s] as above), the resultant is found from its
+values at integer s, as in Manocha and Canny ("Multipolynomial resultant
+algorithms", J. Symb. Comput. 15, 1993).  It has integer coefficients in
+the coefficients of the forms, so it commutes with specialization and
+has degree at most sum_i deg_s(f_i) prod_{j != i} d_j in s.  The Macaulay
+matrices are built once over Z[s]; at s = 0, 1, -1, 2, -2, ... their
+entries are evaluated and the integer ratio det M / det M' taken, and
+the samples are interpolated (see :func:`interpolate`).  A point where
+det M' vanishes is skipped.  The degree of det M'(s) is at most the sum
+over the reduced rows of their largest deg_s; more such points than that
+show that det M'(s) = 0, and every further point is then computed by
+:func:`gcp_resultant` on the specialized forms.  Rings with two or more
+parameters, and generic systems, keep the symbolic determinants.
 """
 
 from __future__ import annotations
@@ -29,12 +44,19 @@ from dataclasses import dataclass
 
 from . import ring as rg
 from .determinants import det_payload_auto
-from .errors import NotGeneric, PerturbationDegenerate, SignatureMismatch
+from .errors import (
+    IdentityFailed,
+    NotDivisible,
+    NotGeneric,
+    PerturbationDegenerate,
+    SignatureMismatch,
+)
 from .mpoly import (
     DegreeSignature,
     MultiPoly,
     check_forms,
     dehomogenize,
+    evaluate_coefficients,
     flatten_extension,
     generic_system,
     isobaric_part,
@@ -50,6 +72,7 @@ __all__ = [
     "build_macaulay",
     "resultant",
     "gcp_resultant",
+    "interpolate",
     "interpolate_at_zero",
     "is_inertia_form_generic",
     "zariski_lowest_part",
@@ -163,9 +186,12 @@ def resultant(fs, sig, use_fast_paths=True):
             return rg.RingElement(ring, diag)
     if rg.scalar_base(ring).kind == rg.MODULAR:
         return via_lift(lambda lifted: resultant(lifted, sig, use_fast_paths), fs)
-    if ring == rg.QQ:
+    one_parameter = ring.kind == rg.POLYEXT and len(ring.variables) == 1
+    if ring == rg.QQ or (one_parameter and ring.base == rg.QQ):
         return _over_integers(lambda scaled: resultant(scaled, sig, use_fast_paths), fs, sig)
     ms = build_macaulay(fs, sig)
+    if one_parameter and ring.base == rg.ZZ:
+        return rg.RingElement(ring, _by_interpolation(fs, sig, ms))
     den = ms.denominator_det()
     if rg.val_is_nzd(ring, den):
         num = ms.numerator_det()
@@ -174,18 +200,89 @@ def resultant(fs, sig, use_fast_paths=True):
 
 
 def _over_integers(compute, fs, sig):
-    """Res over Q from compute(the forms c_i f_i), a resultant over Z.
+    """Res over Q or Q[s] from compute(the forms c_i f_i), a resultant over Z or Z[s].
 
-    c_i is the lcm of the denominators of f_i; the resultant is
+    c_i is the lcm of the denominators in f_i; the resultant is
     homogeneous of degree prod_{j != i} d_j in the coefficients of f_i.
     """
+    ring = fs[0].ring
+    nested = ring.kind == rg.POLYEXT
+    zring = rg.polyext(rg.ZZ, ring.variables) if nested else rg.ZZ
     scaled, divisor = [], 1
     for f, d in zip(fs, sig.degrees):
-        c = math.lcm(*(x.denominator for x in f.terms.values()))
-        scaled.append(MultiPoly(rg.ZZ, f.nvars, {e: (x * c).numerator for e, x in f.terms.items()}))
+        inner = [x for p in f.terms.values() for x in (p.terms.values() if nested else (p,))]
+        c = math.lcm(*(x.denominator for x in inner))
+        terms = {
+            e: p.map_coefficients(lambda x: (x * c).numerator, rg.ZZ) if nested else (p * c).numerator
+            for e, p in f.terms.items()
+        }
+        scaled.append(MultiPoly(zring, f.nvars, terms))
         divisor *= c ** (math.prod(sig.degrees) // d)
-    value = compute(scaled).value
-    return rg.RingElement(rg.QQ, rg.val_from_int(rg.QQ, value) / divisor)
+    value = rg.val_convert(zring, ring, compute(scaled).value)
+    return rg.RingElement(ring, rg.val_exact_divide(ring, value, rg.val_from_int(ring, divisor)))
+
+
+def _by_interpolation(fs, sig, ms):
+    """Res over Z[s] from its values at s = 0, 1, -1, 2, -2, ...
+
+    ``ms`` is the Macaulay system of ``fs`` over Z[s].  Res has degree at
+    most sum_i deg_s(f_i) prod_{j != i} d_j in s, so that many values plus
+    one fix it.  Each value is the numeric ratio det M(x) / det M'(x) of
+    the matrices evaluated at the point.  A point where det M'(x) = 0 is
+    skipped; det M'(s) has degree at most the sum over the reduced rows of
+    their largest deg_s, so more zeros than that show det M'(s) = 0, and
+    every point from then on takes gcp_resultant on the specialized forms.
+    """
+    p = math.prod(sig.degrees)
+    degree = sum(_s_degree(f) * (p // d) for f, d in zip(fs, sig.degrees))
+    # each nonzero entry once, as its integer coefficients lowest first
+    entries = [
+        {j: _int_coefficients(c) for j, c in enumerate(row) if not c.is_zero()} for row in ms.rows
+    ]
+    reduced = set(ms.reduced)
+    skips = sum(
+        max((len(c) - 1 for j, c in entries[i].items() if j in reduced), default=0) for i in reduced
+    )
+    points, zeros, k = [], 0, 0
+    while len(points) <= degree:
+        x = (k + 1) // 2 * (1 if k % 2 else -1)
+        k += 1
+        if zeros <= skips:
+            values = [_horner_row(row, x, len(ms.cols)) for row in entries]
+            at = MacaulaySystem(sig, rg.ZZ, ms.cols, values, ms.row_slot, ms.reduced)
+            den = at.denominator_det()
+            if den:
+                points.append((x, rg.val_exact_divide(rg.ZZ, at.numerator_det(), den)))
+                continue
+            zeros += 1
+            if zeros <= skips:
+                continue
+        special = [evaluate_coefficients(f, [x]) for f in fs]
+        points.append((x, gcp_resultant(special, sig).value))
+    coeffs = interpolate(rg.ZZ, points)
+    return MultiPoly(rg.ZZ, 1, {(m,): c for m, c in enumerate(coeffs) if c})
+
+
+def _s_degree(f):
+    """Largest degree in the parameter among the coefficients of f over Z[s]."""
+    return max(e for c in f.terms.values() for (e,) in c.terms)
+
+
+def _int_coefficients(c):
+    out = [0] * (max(e for (e,) in c.terms) + 1)
+    for (e,), v in c.terms.items():
+        out[e] = v
+    return out
+
+
+def _horner_row(row, x, ncols):
+    dense = [0] * ncols
+    for j, coeffs in row.items():
+        v = 0
+        for c in reversed(coeffs):
+            v = v * x + c
+        dense[j] = v
+    return dense
 
 
 def gcp_resultant(fs, sig):
@@ -227,9 +324,8 @@ def interpolate_at_zero(ring, sample, degree, skips, monic=False):
     taken at the first positive integers where it can; ``skips`` is the
     degree of that denominator, monic in t, so more failures than that
     raise PerturbationDegenerate.  ``monic`` says P = t^degree + lower
-    terms (degree >= 1), which saves one sample.  Lagrange interpolation
-    ends in one exact division by an integer, so ``ring`` must not be
-    modular.
+    terms (degree >= 1), which saves one sample.  The value comes from
+    :func:`interpolate`, so ``ring`` must not be modular.
     """
     need = degree if monic else degree + 1
     points = []
@@ -246,18 +342,50 @@ def interpolate_at_zero(ring, sample, degree, skips, monic=False):
         if monic:
             value = rg.val_sub(ring, value, rg.val_from_int(ring, t**degree))
         points.append((t, value))
-    # P(0) = sum_k P(t_k) prod_{j != k} t_j / (t_j - t_k), over one denominator
-    ts = [tk for tk, _ in points]
-    nums, dens = [], []
-    for tk in ts:
-        nums.append(math.prod(tj for tj in ts if tj != tk))
-        dens.append(math.prod(tj - tk for tj in ts if tj != tk))
+    return interpolate(ring, points)[0]
+
+
+def interpolate(ring, points):
+    """Coefficients c_0, ..., c_k, lowest first, of the polynomial P of
+    degree at most k through k + 1 points (x, P(x)).
+
+    The x are distinct integers and each P(x) a payload of ``ring``.
+    Lagrange's formula is summed over one common integer denominator and
+    ends in one exact division per coefficient.  A coefficient that does
+    not divide means the values are not those of a polynomial over
+    ``ring`` of that degree, and raises IdentityFailed.  ``ring`` must not
+    be modular.
+    """
+    xs = [x for x, _ in points]
+    full = [1]  # prod_j (X - x_j), lowest coefficient first
+    for xj in xs:
+        full = [a - xj * b for a, b in zip([0] + full, full + [0])]
+    bases, dens = [], []
+    for xk in xs:
+        # prod_{j != k} (X - x_j) = full / (X - x_k), by synthetic division
+        basis = [0] * len(xs)
+        carry = 0
+        for m in range(len(xs), 0, -1):
+            carry = full[m] + xk * carry
+            basis[m - 1] = carry
+        bases.append(basis)
+        dens.append(math.prod(xk - xj for xj in xs if xj != xk))
     common = math.lcm(*dens)
-    acc = rg.val_zero(ring)
-    for (_, value), num, den in zip(points, nums, dens):
-        weight = rg.val_from_int(ring, num * (common // den))
-        acc = rg.val_add(ring, acc, rg.val_mul(ring, value, weight))
-    return rg.val_exact_divide(ring, acc, rg.val_from_int(ring, common))
+    coeffs = []
+    for m in range(len(xs)):
+        acc = rg.val_zero(ring)
+        for (_, value), basis, den in zip(points, bases, dens):
+            if basis[m]:
+                weight = rg.val_from_int(ring, basis[m] * (common // den))
+                acc = rg.val_add(ring, acc, rg.val_mul(ring, value, weight))
+        coeffs.append(acc)
+    divisor = rg.val_from_int(ring, common)
+    try:
+        return [rg.val_exact_divide(ring, c, divisor) for c in coeffs]
+    except NotDivisible as exc:
+        raise IdentityFailed(
+            f"interpolation through {len(xs)} points has a coefficient that is not a multiple of {common}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from elimkit.determinants import (
     strip_single_entries,
     unpack_exponents,
 )
-from elimkit.mpoly import MultiPoly
+from elimkit.mpoly import DegreeSignature, MultiPoly, monomials_of_degree
+from elimkit.resultant import build_macaulay
 
 
 def naive_det(rows):
@@ -174,3 +175,37 @@ def test_int_kernel_matches_rational_bareiss():
         assert type(got) is int and got == want
         singular += got == 0
     assert 0 < singular < 60
+    # banded, sparse and shuffled, as Macaulay matrices are: row i holds a
+    # few coefficients, some zero, from about column i on, and a nonzero
+    # one on the diagonal
+    nonzero = 0
+    for _ in range(40):
+        n = rnd.randint(6, 30)
+        width = rnd.randint(2, 6)
+        rows = []
+        for i in range(n):
+            row = [0] * n
+            for j in range(max(0, i - rnd.randint(0, 2)), min(n, i + width)):
+                row[j] = rnd.choice((0, rnd.randint(-9, 9)))
+            row[i] = rnd.choice((-2, -1, 1, 3))
+            rows.append(row)
+        rnd.shuffle(rows)
+        want = det_bareiss(rg.QQ, [[Fraction(x) for x in r] for r in rows])
+        got = det_bareiss(rg.ZZ, rows)
+        assert type(got) is int and got == want
+        nonzero += got != 0
+    # and Macaulay matrices themselves, M and M', from integer systems
+    for degrees in ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2)):
+        sig = DegreeSignature(len(degrees), degrees)
+        fs = []
+        for d in sig.degrees:
+            terms = {e: rnd.randint(-9, 9) for e in monomials_of_degree(sig.nvars, d)}
+            fs.append(MultiPoly(rg.ZZ, sig.nvars, {e: c for e, c in terms.items() if c}))
+        ms = build_macaulay(fs, sig)
+        for positions in (range(len(ms.rows)), ms.reduced):
+            rows = [[ms.rows[i][j] for j in positions] for i in positions]
+            want = det_bareiss(rg.QQ, [[Fraction(x) for x in r] for r in rows])
+            got = det_bareiss(rg.ZZ, rows)
+            assert type(got) is int and got == want
+            nonzero += got != 0
+    assert nonzero > 20

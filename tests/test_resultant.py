@@ -1,7 +1,10 @@
 """Resultants: normalization, Sylvester cross-checks, structure, gradings."""
 
+import importlib
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,11 +13,15 @@ import sympy
 import elimkit.ring as rg
 from elimkit.errors import NonHomogeneous, NotGeneric, SignatureMismatch
 from elimkit.determinants import det_bareiss
+from elimkit.disc_hyper import disc_hyper, disc_hyper_degree
+from elimkit.disc_points import disc_points, disc_points_degree
 from elimkit.mpoly import (
     DegreeSignature,
     MultiPoly,
     dehomogenize,
+    evaluate_coefficients,
     generic_system,
+    lift_poly,
     monomials_of_degree,
     parse_generic_name,
     weight_valuation,
@@ -23,6 +30,7 @@ from elimkit.mpoly import (
 from elimkit.resultant import (
     build_macaulay,
     gcp_resultant,
+    interpolate,
     interpolate_at_zero,
     is_inertia_form_generic,
     resultant,
@@ -333,6 +341,191 @@ class TestRationals:
             assert resultant(fs, sig).value == want
             value, divisor = self.over_integers(fs, sig)
             assert want == Fraction(value, divisor)
+
+
+class TestOneParameter:
+    """Over Z[s], Z/m[s] and Q[s] the resultant is interpolated from integer s."""
+
+    ZS = rg.polyext(rg.ZZ, ("s",))
+    RINGS = [ZS, rg.polyext(rg.Zmod(12), ("s",)), rg.polyext(rg.QQ, ("s",))]
+    SMALL = [DegreeSignature(2, (3, 3)), DegreeSignature(3, (2, 2, 2)), DegreeSignature(3, (2, 2, 3))]
+    # the (3; 2,2,3) system over Z[s] that the benchmark's family workload
+    # draws in round 3 of seed 11: its reduced Macaulay determinant is 0
+    SINGULAR = [
+        {(2, 0, 0): (-1, 4), (1, 1, 0): (4, -2), (1, 0, 1): (-4, 4),
+         (0, 2, 0): (3, -3), (0, 1, 1): (2, -4), (0, 0, 2): (-3, 1)},
+        {(2, 0, 0): (1, -4), (1, 1, 0): (-2, 1), (1, 0, 1): (-1, -3),
+         (0, 2, 0): (-3, 3), (0, 1, 1): (-1, -4), (0, 0, 2): (0, 4)},
+        {(3, 0, 0): (1, -4), (2, 1, 0): (2, 3), (2, 0, 1): (3, -2), (1, 2, 0): (-1, 3),
+         (1, 1, 1): (-4, 2), (1, 0, 2): (2, 0), (0, 3, 0): (3, -3), (0, 2, 1): (0, -2),
+         (0, 1, 2): (3, 3), (0, 0, 3): (-4, 4)},
+    ]
+
+    @classmethod
+    def forms(cls, rnd, ring, sig):
+        """f + s g with random integer forms f, g, moved into ``ring``; over
+        Q[s] every coefficient is divided by a small random integer."""
+        fs = [affine_in_s(rnd, sig.nvars, d) for d in sig.degrees]
+        if ring.base == rg.QQ:
+            return [
+                f.map_coefficients(
+                    lambda c: c.change_ring(rg.QQ).scale(Fraction(1, rnd.choice((1, 2, 3, 5)))), ring
+                )
+                for f in fs
+            ]
+        return [f.change_ring(ring) for f in fs]
+
+    @staticmethod
+    def affine(a, b):
+        return MultiPoly.from_terms(rg.ZZ, 1, [((0,), a), ((1,), b)])
+
+    @classmethod
+    def singular(cls):
+        """SINGULAR as forms over Z[s], each pair (a, b) the coefficient a + b s."""
+        return [
+            MultiPoly(cls.ZS, 3, {e: cls.affine(a, b) for e, (a, b) in f.items()}) for f in cls.SINGULAR
+        ]
+
+    @classmethod
+    def symbolic_ratio(cls, fs, sig):
+        """det M / det M' with both determinants taken over the polynomial
+        ring itself (over Z[s] for Z/m[s], then reduced)."""
+        ring = fs[0].ring
+        if rg.scalar_base(ring).kind == rg.MODULAR:
+            lifted = cls.symbolic_ratio([lift_poly(f) for f in fs], sig)
+            return rg.RingElement(ring, rg.val_convert(cls.ZS, ring, lifted.value))
+        ms = build_macaulay(fs, sig)
+        den = ms.denominator_det()
+        assert not den.is_zero()
+        return rg.RingElement(ring, rg.val_exact_divide(ring, ms.numerator_det(), den))
+
+    @staticmethod
+    def at(fs, x):
+        """The forms with s specialized to the integer x."""
+        base = fs[0].ring.base
+        return [evaluate_coefficients(f, [rg.val_from_int(base, x)]) for f in fs]
+
+    @staticmethod
+    def gcp_calls(monkeypatch):
+        module = importlib.import_module("elimkit.resultant")
+        calls = []
+        original = module.gcp_resultant
+
+        def counted(fs, sig):
+            calls.append(sig)
+            return original(fs, sig)
+
+        monkeypatch.setattr(module, "gcp_resultant", counted)
+        return calls
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    @pytest.mark.parametrize("sig", SMALL, ids=lambda s: repr(s.degrees))
+    def test_matches_symbolic_ratio(self, ring, sig):
+        fs = self.forms(random.Random(f"{ring!r} {sig.degrees}"), ring, sig)
+        got = resultant(fs, sig)
+        assert got.ring == ring
+        assert got == self.symbolic_ratio(fs, sig)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=repr)
+    def test_four_quadrics_at_specialized_s(self, ring):
+        rnd = random.Random(61)
+        sig = DegreeSignature(4, (2, 2, 2, 2))
+        fs = self.forms(rnd, ring, sig)
+        got = resultant(fs, sig)
+        assert got.ring == ring
+        for x in (-7, 3, 40):
+            want = resultant(self.at(fs, x), sig).value
+            assert got.value.evaluate([rg.val_from_int(ring.base, x)]) == want
+
+    def test_denominator_vanishes_at_some_samples(self, monkeypatch):
+        # M' of (3; 2,2,2) has det a (a d - b c) with a the X1^2 coefficient of
+        # f_1, so a = s^2 - 1 kills it at the sample points 1 and -1
+        rnd = random.Random(62)
+        sig = DegreeSignature(3, (2, 2, 2))
+        fs = [affine_in_s(rnd, 3, 2) for _ in range(3)]
+        a = MultiPoly(rg.ZZ, 1, {(2,): 1, (0,): -1})
+        fs[0] = MultiPoly(self.ZS, 3, {**fs[0].terms, (2, 0, 0): a})
+        den = build_macaulay(fs, sig).denominator_det()
+        assert not den.is_zero()
+        assert den.evaluate([1]) == den.evaluate([-1]) == 0
+        calls = self.gcp_calls(monkeypatch)
+        assert resultant(fs, sig) == self.symbolic_ratio(fs, sig)
+        assert calls == []
+
+    def test_denominator_identically_zero_takes_gcp(self, monkeypatch):
+        sig = DegreeSignature(3, (2, 2, 3))
+        fs = self.singular()
+        assert build_macaulay(fs, sig).denominator_det().is_zero()
+        calls = self.gcp_calls(monkeypatch)
+        got = resultant(fs, sig)
+        assert calls
+        # a polynomial of degree <= 16 is fixed by 17 values, taken away
+        # from the sample points
+        assert max(e for (e,) in got.value.terms) <= 16
+        for x in range(20, 37):
+            assert got.value.evaluate([x]) == resultant(self.at(fs, x), sig).value
+
+    def test_discriminants_at_specialized_s(self):
+        rnd = random.Random(63)
+        sig = DegreeSignature(3, (2, 3))
+        fs = [affine_in_s(rnd, 3, d) for d in sig.degrees]
+        got = disc_points(fs, sig).value
+        degree = sum(disc_points_degree(sig, i) for i in (1, 2))
+        for x in range(-degree // 2, degree // 2 + 1):
+            assert got.evaluate([x]) == disc_points(self.at(fs, x), sig).value
+        f = affine_in_s(rnd, 3, 3)
+        got = disc_hyper(f).value
+        degree = disc_hyper_degree(3, 3)
+        for x in range(-degree // 2, degree // 2 + 1):
+            assert got.evaluate([x]) == disc_hyper(self.at([f], x)[0]).value
+
+    def test_one_parameter_never_reaches_det_packed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("det_packed called")
+
+        monkeypatch.setattr(importlib.import_module("elimkit.determinants"), "det_packed", refuse)
+        rnd = random.Random(64)
+        for ring in self.RINGS:
+            for sig in self.SMALL + [DegreeSignature(4, (2, 2, 2, 2))]:
+                fs = self.forms(rnd, ring, sig)
+                assert resultant(fs, sig).ring == ring
+        resultant(self.singular(), DegreeSignature(3, (2, 2, 3)))
+        sig = DegreeSignature(3, (2, 3))
+        disc_points([affine_in_s(rnd, 3, d) for d in sig.degrees], sig)
+        disc_hyper(affine_in_s(rnd, 3, 3))
+        # the symbolic route over Z[s] still goes there
+        sig = DegreeSignature(3, (2, 2, 2))
+        with pytest.raises(AssertionError, match="det_packed"):
+            build_macaulay([affine_in_s(rnd, 3, 2) for _ in range(3)], sig).numerator_det()
+
+
+class TestInterpolation:
+    def test_every_coefficient(self):
+        ring = rg.ZZ
+        coeffs = [7, -3, 0, 11, 2]
+        points = [(x, sum(c * x**m for m, c in enumerate(coeffs))) for x in (0, 1, -1, 2, -2)]
+        assert interpolate(ring, points) == coeffs
+        zs = rg.polyext(rg.ZZ, ("s",))
+        s = MultiPoly.variable(rg.ZZ, 1, 1)
+        # P(t) = s t^2 + 3 over Z[s]
+        points = [(t, s.scale_int(t * t).add(MultiPoly.from_int(rg.ZZ, 1, 3))) for t in (1, 2, 3)]
+        got = interpolate(zs, points)
+        assert got[0].eq(MultiPoly.from_int(rg.ZZ, 1, 3)) and got[1].is_zero() and got[2].eq(s)
+
+    def test_non_integral_raises_under_optimize(self):
+        code = (
+            "import elimkit.ring as rg\n"
+            "from elimkit.errors import IdentityFailed\n"
+            "from elimkit.resultant import interpolate\n"
+            "try:\n"
+            "    interpolate(rg.ZZ, [(0, 0), (2, 1)])\n"
+            "except IdentityFailed:\n"
+            "    print('IdentityFailed')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0 and out.stdout.strip() == "IdentityFailed"
 
 
 class TestInertia:
