@@ -223,15 +223,9 @@ def _over_integers(compute, fs, sig):
 
 
 def _by_interpolation(fs, sig, ms):
-    """Res over Z[s] from its values at s = 0, 1, -1, 2, -2, ...
-
-    ``ms`` is the Macaulay system of ``fs`` over Z[s].  Res has degree at
-    most sum_i deg_s(f_i) prod_{j != i} d_j in s, so that many values plus
-    one fix it.  Each value is the numeric ratio det M(x) / det M'(x) of
-    the matrices evaluated at the point.  A point where det M'(x) = 0 is
-    skipped; det M'(s) has degree at most the sum over the reduced rows of
-    their largest deg_s, so more zeros than that show det M'(s) = 0, and
-    every point from then on takes gcp_resultant on the specialized forms.
+    """Res over Z[s] from its values at s = 0, 1, -1, 2, -2, ..., as the
+    module docstring describes; ``ms`` is the Macaulay system of ``fs``
+    over Z[s], and ``skips`` bounds the degree of det M'(s).
     """
     p = math.prod(sig.degrees)
     degree = sum(_s_degree(f) * (p // d) for f, d in zip(fs, sig.degrees))
