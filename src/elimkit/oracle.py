@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from . import ring as rg
 from .errors import (
     ElimkitError,
+    IdentityFailed,
     PerturbationDegenerate,
     SignatureMismatch,
     TooLarge,
@@ -201,7 +202,7 @@ def _compute_generic(kind, sig):
 def _exact_int_div(c, scale):
     q, r = divmod(c, scale)
     if r:
-        raise ArithmeticError(f"expected divisibility by {scale}, got remainder {r}")
+        raise IdentityFailed(f"expected divisibility by {scale}, got remainder {r}")
     return q
 
 
@@ -298,9 +299,12 @@ class GFExt:
     """F_{q^e} as F_q[T] modulo a fixed irreducible, elements packed as ints.
 
     An element sum(c_k T^k) is stored as the integer sum(c_k q^k).  For
-    fields of at most _TABLE_LIMIT elements full multiplication and
-    inverse tables are precomputed, which makes the point enumeration in
-    poi_check cheap.
+    fields of at most _TABLE_LIMIT elements, flat addition and
+    multiplication tables (entry a*size + b) and negation, inverse and
+    square-root tables are built once, when ``get`` first makes the field;
+    then ``add``, ``neg`` and ``mul`` are one lookup each, which makes the
+    point enumeration in poi_check cheap.  Larger fields (11^3, 13^3)
+    keep the digit arithmetic on ``to_digits``/``from_digits``.
     """
 
     def __init__(self, q, e):
@@ -314,6 +318,8 @@ class GFExt:
         self.e = e
         self.size = q**e
         self.modpoly = modpoly
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         self._sqrt_table = None
@@ -346,18 +352,16 @@ class GFExt:
     # -- arithmetic --
 
     def add(self, a, b):
-        q = self.q
-        if self.e == 1:
-            return (a + b) % q
-        return self.from_digits(
-            [(x + y) % q for x, y in zip(self.to_digits(a), self.to_digits(b))]
-        )
+        t = self._add_table
+        if t is not None:
+            return t[a * self.size + b]
+        return self.from_digits([x + y for x, y in zip(self.to_digits(a), self.to_digits(b))])
 
     def neg(self, a):
-        q = self.q
-        if self.e == 1:
-            return (-a) % q
-        return self.from_digits([(-x) % q for x in self.to_digits(a)])
+        t = self._neg_table
+        if t is not None:
+            return t[a]
+        return self.from_digits([-x for x in self.to_digits(a)])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -418,6 +422,11 @@ class GFExt:
 
     def _build_tables(self):
         n = self.size
+        digits = [self.to_digits(a) for a in range(n)]
+        self._add_table = [
+            self.from_digits([x + y for x, y in zip(da, db)]) for da in digits for db in digits
+        ]
+        self._neg_table = [self.from_digits([-x for x in da]) for da in digits]
         mul = [0] * (n * n)
         for a in range(n):
             base = a * n
@@ -559,17 +568,33 @@ def _poly_at(gf, coeffs, t):
     return acc
 
 
-def _restrict_to_line(gf, f, x1, x2):
-    """Coefficients in T of f(x1, x2, T), lowest degree first."""
+def _line_form(gf, f):
+    """(degree, [(e1, e2, e3, c mod q)]) of a ternary form, for _restrict_to_line."""
     d = f.total_degree()
-    out = [0] * ((0 if d is None else d) + 1)
-    for e, c in f.terms.items():
-        v = c % gf.q
-        if e[0]:
-            v = gf.mul(v, gf.pow(x1, e[0]))
-        if e[1]:
-            v = gf.mul(v, gf.pow(x2, e[1]))
-        out[e[2]] = gf.add(out[e[2]], v)
+    return (0 if d is None else d), [(e[0], e[1], e[2], c % gf.q) for e, c in f.terms.items()]
+
+
+def _powers(gf, x, d):
+    out = [1]
+    for _ in range(d):
+        out.append(gf.mul(out[-1], x))
+    return out
+
+
+def _restrict_to_line(gf, form, p1, p2):
+    """Coefficients in T of f(x1, x2, T), lowest degree first.
+
+    ``form`` is from _line_form; p1 and p2 list the powers of x1 and x2
+    up to at least its degree.
+    """
+    d, terms = form
+    out = [0] * (d + 1)
+    for e1, e2, e3, v in terms:
+        if e1:
+            v = gf.mul(v, p1[e1])
+        if e2:
+            v = gf.mul(v, p2[e2])
+        out[e3] = gf.add(out[e3], v)
     return out
 
 
@@ -579,10 +604,13 @@ def _locus_sweep(gf, fs, minors):
     Returns (count, singular_point_or_None, infinite) where infinite
     means some whole projective line lies in the locus.
     """
+    forms = [_line_form(gf, f) for f in fs]
+    top = max(d for d, _ in forms)
     count = 0
     singular = None
     for x1, x2 in [(1, t) for t in gf.elements()] + [(0, 1)]:
-        restricted = [_restrict_to_line(gf, f, x1, x2) for f in fs]
+        p1, p2 = _powers(gf, x1, top), _powers(gf, x2, top)
+        restricted = [_restrict_to_line(gf, form, p1, p2) for form in forms]
         first = None
         for rc in restricted:
             if any(c != 0 for c in rc):
@@ -627,8 +655,11 @@ def poi_check(fs, max_extension=3):
     One-sided: a singular point found in a tested extension counts as
     existence over the closure; exhausting the tested extensions without
     a find is conclusive only in the Disc != 0 direction.
+    ``max_extension`` must lie in 1..3; anything else raises UnsupportedRing.
     """
     q, sig = _prime_field_system(fs)
+    if max_extension not in (1, 2, 3):
+        raise UnsupportedRing(f"max_extension must be 1, 2 or 3, got {max_extension}")
     n = sig.nvars
     if any(d % q == 0 for d in sig.degrees):
         return PoiVerdict(

@@ -368,6 +368,18 @@ class TestPoiCheckCommand:
         doc = int_doc(3, [{(2, 0, 0): 1}, {(0, 2, 0): 1}])
         assert run(["poi-check"], doc).exit_code == 3
 
+    @pytest.mark.parametrize("max_extension", ["0", "-1", "4"])
+    def test_extension_degree_outside_one_to_three_is_refused(self, max_extension):
+        mod5 = {"kind": "modular", "modulus": 5}
+        terms = [
+            {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1},
+            {(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3},
+        ]
+        doc = int_doc(3, terms, ring=mod5)
+        result = run(["poi-check", "--max-extension", max_extension], doc)
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["error"] == "UnsupportedRing"
+
 
 class TestVerifyCommand:
     def test_res_core_suite(self):

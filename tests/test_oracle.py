@@ -3,17 +3,23 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
 from elimkit import ring as rg
 from elimkit.disc_hyper import disc_hyper
 from elimkit.disc_points import disc_points
-from elimkit.errors import SignatureMismatch, TooLarge, UnsupportedRing
+from elimkit.errors import IdentityFailed, SignatureMismatch, TooLarge, UnsupportedRing
+from elimkit.jacobian import jac_minor
 from elimkit.mpoly import DegreeSignature, MultiPoly, monomials_of_degree
 from elimkit.oracle import (
     _IRREDUCIBLE,
+    _TABLE_LIMIT,
     GFExt,
+    _exact_int_div,
+    _locus_enumerate,
+    _locus_sweep,
     ProjectivePointSet,
     clear_generic_cache,
     generic_disc,
@@ -102,6 +108,42 @@ class TestGFExt:
             assert r is not None and gf.mul(r, r) == sq
         for a, b, c in zip(sample, sample[1:], sample[2:]):
             assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
+
+
+TABLED_FIELDS = [(q, 1) for q in (2, 3, 5, 7, 11, 13)] + sorted(
+    key for key in _IRREDUCIBLE if key[0] ** key[1] <= _TABLE_LIMIT
+)
+
+
+def digit_add(q, e, a, b):
+    return sum(((a // q**k + b // q**k) % q) * q**k for k in range(e))
+
+
+def digit_neg(q, e, a):
+    return sum(((-(a // q**k)) % q) * q**k for k in range(e))
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("q,e", TABLED_FIELDS)
+    def test_tables_match_digit_arithmetic(self, q, e):
+        gf = GFExt.get(q, e)
+        assert gf._add_table is not None and gf._neg_table is not None
+        for a in gf.elements():
+            assert gf.neg(a) == digit_neg(q, e, a)
+            for b in gf.elements():
+                assert gf.add(a, b) == digit_add(q, e, a, b)
+                assert gf.mul(a, b) == gf._mul_slow(a, b)
+
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_large_field_keeps_digit_arithmetic(self, q):
+        gf = GFExt(q, 3)
+        assert gf._add_table is None and gf._neg_table is None
+        rng = random.Random(q)
+        for _ in range(50):
+            a, b = rng.randrange(gf.size), rng.randrange(gf.size)
+            assert gf.add(a, b) == digit_add(q, 3, a, b)
+            assert gf.neg(a) == digit_neg(q, 3, a)
+            assert gf.sub(a, b) == digit_add(q, 3, a, digit_neg(q, 3, b))
 
 
 class TestProjectiveEnumeration:
@@ -236,6 +278,21 @@ class TestDiskCache:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         clear_generic_cache()
 
+    def test_recomputed_conic_pair_entry_matches_the_committed_file(self, tmp_path, monkeypatch):
+        committed = os.path.join(os.path.dirname(__file__), ".generic_cache", "disc_points_n3_d2_2.json")
+        with open(committed, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        monkeypatch.setenv("ELIMKIT_CACHE_DIR", str(tmp_path))
+        clear_generic_cache()
+        try:
+            entry = generic_disc(DegreeSignature(3, (2, 2)))
+        finally:
+            clear_generic_cache()
+        assert list(entry.names) == doc["names"]
+        assert entry.disc.terms == {tuple(e): int(c) for e, c in doc["terms"]}
+        assert len(entry.disc.terms) == len(doc["terms"])
+        assert (tmp_path / "disc_points_n3_d2_2.json").exists()
+
 
 class TestSingularPoints:
     def test_double_line(self):
@@ -269,6 +326,54 @@ class TestSingularPoints:
         f = MultiPoly(rg.Zmod(5), 3, {(2, 0, 0): 1})
         with pytest.raises(SignatureMismatch):
             singular_points([f])
+
+
+def ternary_forms(ring, *term_dicts):
+    return [MultiPoly(ring, 3, terms) for terms in term_dicts]
+
+
+class TestLocusSweep:
+    """The line sweep against the brute-force enumeration of projective points."""
+
+    @pytest.mark.parametrize(
+        "q,e,draws", [(5, 1, 12), (5, 2, 6), (5, 3, 2), (7, 1, 12), (7, 2, 4), (7, 3, 1)]
+    )
+    def test_sweep_matches_enumeration(self, q, e, draws):
+        R = rg.Zmod(q)
+        rng = random.Random(10 * q + e)
+        systems = [[rand_form(R, 3, 2, rng, spread=q - 1) for _ in range(2)] for _ in range(draws)]
+        if e < 3:
+            # tangent at (0, 0, 1), at (1, 0, 0), and a pair sharing the factor X1 + X2
+            systems.append(
+                ternary_forms(R, {(0, 1, 1): 1, (2, 0, 0): 4}, {(0, 1, 1): 1, (2, 0, 0): 4, (0, 2, 0): 1})
+            )
+            systems.append(
+                ternary_forms(R, {(1, 1, 0): 1, (0, 0, 2): 4}, {(1, 1, 0): 1, (0, 0, 2): 4, (0, 2, 0): 1})
+            )
+            line = MultiPoly(R, 3, {(1, 0, 0): 1, (0, 1, 0): 1})
+            systems.append(
+                [
+                    line.mul(MultiPoly(R, 3, {(0, 0, 1): 1})),
+                    line.mul(MultiPoly(R, 3, {(1, 0, 0): 1, (0, 0, 1): q - 1})),
+                ]
+            )
+        gf = GFExt.get(q, e)
+        sig = DegreeSignature(3, (2, 2))
+        outcomes = set()
+        for fs in systems:
+            minors = [jac_minor(fs, sig, i) for i in range(1, 4)]
+            count, singular, infinite = _locus_sweep(gf, fs, minors)
+            want_count, want_singular, _ = _locus_enumerate(gf, fs, minors, 3)
+            if infinite:
+                # a whole line of the plane has q^e + 1 points
+                assert want_count >= gf.size + 1
+                outcomes.add("infinite")
+                continue
+            assert count == want_count
+            assert (singular is None) == (want_singular is None)
+            outcomes.add("smooth" if singular is None else "singular")
+        if e < 3:
+            assert outcomes == {"infinite", "smooth", "singular"}
 
 
 class TestPoiCheck:
@@ -329,3 +434,22 @@ class TestPoiCheck:
             statuses[v.status] += 1
         assert statuses["inconsistent"] == 0
         assert statuses["consistent"] > 0
+
+    @pytest.mark.parametrize("max_extension", [0, -1, 4])
+    def test_extension_degree_outside_one_to_three_is_refused(self, max_extension, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("disc_points ran before the argument check")
+
+        monkeypatch.setattr(sys.modules["elimkit.disc_points"], "disc_points", never)
+        R = rg.Zmod(5)
+        f1 = MultiPoly(R, 3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+        f2 = MultiPoly(R, 3, {(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3})
+        with pytest.raises(UnsupportedRing):
+            poi_check([f1, f2], max_extension=max_extension)
+
+
+class TestGenericDivisionCheck:
+    def test_exact_int_div(self):
+        assert _exact_int_div(-12, 4) == -3
+        with pytest.raises(IdentityFailed):
+            _exact_int_div(13, 4)
