@@ -10,10 +10,11 @@ Three engines cover the shapes of matrix this package meets:
   dispatch, which is where every numeric resultant over Z, Q and Z/m
   ends up, and every sample of one over Z[s], Q[s] and Z/m[s].
 * :func:`det_packed` — division-free minor expansion over column subsets,
-  specialized to polynomial entries with integer coefficients packed into
-  integer exponent keys.  This handles the large sparse symbolic Macaulay
-  matrices (two or more parameters, generic systems) where Bareiss would
-  drown in intermediate swell.
+  for MultiPoly entries over Z.  It runs on the entries' own packed
+  monomial keys and returns a MultiPoly on the same keys, with a one-pass
+  path for entries of one term.  This handles the sparse symbolic
+  Macaulay matrices (two or more parameters, generic systems) where
+  Bareiss would drown in intermediate swell.
 * :func:`det_poly_matrix` — small matrices of MultiPoly entries (Jacobian
   work), cofactor expansion up to 4x4 and Bareiss beyond.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from . import ring as rg
 from .errors import NotDivisible
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, from_keys, shared_keys
 
 __all__ = [
     "det_bareiss",
@@ -179,94 +180,97 @@ def strip_single_entries(sparse_rows, ncols, ring):
 # packed minor-expansion DP
 
 
-def pack_exponents(exp, shift):
-    key = 0
-    for e in exp:
-        key = (key << shift) | e
-    return key
+def det_packed(sparse_rows, cols, nvars):
+    """Division-free determinant of a sparse matrix of polynomials over Z.
 
-
-def unpack_exponents(key, shift, nvars):
-    mask = (1 << shift) - 1
-    out = [0] * nvars
-    for j in range(nvars - 1, -1, -1):
-        out[j] = key & mask
-        key >>= shift
-    return tuple(out)
-
-
-def det_packed(sparse_rows, cols):
-    """Division-free determinant of a sparse matrix of packed polynomials.
-
-    ``sparse_rows``: list of dicts {column: {packed exponent: int}} (each
-    entry a polynomial with integer coefficients).  ``cols``: the column
-    index list.  Columns no later row can fill prune the state space, so
-    reasonably banded matrices stay small.  Returns a packed polynomial.
+    ``sparse_rows``: list of dicts {column: nonzero MultiPoly over Z in
+    ``nvars`` variables}; ``cols``: the column index list.  The expansion
+    runs row by row over the sets of columns used so far, on the
+    entries' packed monomial keys (see :mod:`elimkit.mpoly`), at one key
+    width that holds the degree of the determinant.  Columns no later row
+    can fill prune the state space, so reasonably banded matrices stay
+    small.  An entry with one term, as every entry of a generic system
+    is, shifts a state's keys in one pass.  Only a state that two
+    contributions met, or a product by an entry of several terms, can
+    hold zero coefficients, and only those states are cleaned.  Returns a
+    MultiPoly over Z on the same keys.
     """
     n = len(sparse_rows)
     if n != len(cols):
         raise ValueError("matrix must be square")
     if n == 0:
-        return {0: 1}
+        return MultiPoly.from_int(rg.ZZ, nvars, 1)
     colpos = {c: i for i, c in enumerate(cols)}
     touched = set()
     for row in sparse_rows:
         if not row:
-            return {}
+            return MultiPoly.zero(rg.ZZ, nvars)
         touched.update(colpos[c] for c in row)
     if len(touched) < n:
-        return {}
+        return MultiPoly.zero(rg.ZZ, nvars)
     # rows ordered to keep the active column window narrow
     order = sorted(range(n), key=lambda r: min(colpos[c] for c in sparse_rows[r]))
     perm_sign = _permutation_sign(order)
-    # the step after which each column can no longer be filled
+    # after step s every state holds the columns no later row can fill
     last_step = {}
     for step, r in enumerate(order):
         for c in sparse_rows[r]:
             last_step[colpos[c]] = step
-    seen_last = {}
-    for c, step in last_step.items():
-        seen_last.setdefault(step, []).append(c)
-    states = {0: {0: 1}}
-    for step, r in enumerate(order):
-        row = sparse_rows[r]
-        entries = [(colpos[c], poly) for c, poly in row.items()]
+    must = [0] * n
+    for cp, step in last_step.items():
+        must[step] |= 1 << cp
+    entries = [p for r in order for p in sparse_rows[r].values()]
+    degree = sum(max(p.total_degree() for p in sparse_rows[r].values()) for r in order)
+    width, keys = shared_keys(entries, degree)
+    keys = iter(keys)
+    rows = [[(1 << colpos[c], next(keys)) for c in sparse_rows[r]] for r in order]
+    states = {0: None}  # None stands for the polynomial 1 before the first row
+    for step, row in enumerate(rows):
+        need = must[step]
         new_states = {}
+        met = set()
         for mask, poly in states.items():
-            for cp, entry in entries:
-                bit = 1 << cp
-                if mask & bit:
-                    continue
-                parity = (step + (mask & (bit - 1)).bit_count()) & 1
+            for bit, entry in row:
                 nm = mask | bit
+                if nm == mask or nm & need != need:
+                    continue
+                sign = -1 if (step + (mask & (bit - 1)).bit_count()) & 1 else 1
+                if poly is None:
+                    new_states[nm] = {k: sign * v for k, v in entry.items()}
+                    continue
                 acc = new_states.get(nm)
+                if len(entry) == 1:
+                    ((ek, ev),) = entry.items()
+                    ev *= sign
+                    if acc is None:
+                        new_states[nm] = {k + ek: v * ev for k, v in poly.items()}
+                        continue
+                    met.add(nm)
+                    get = acc.get
+                    for k, v in poly.items():
+                        k += ek
+                        acc[k] = get(k, 0) + v * ev
+                    continue
                 if acc is None:
-                    acc = {}
-                    new_states[nm] = acc
-                if parity:
-                    for pk, pv in poly.items():
-                        for ek, ev in entry.items():
-                            k = pk + ek
-                            acc[k] = acc.get(k, 0) - pv * ev
-                else:
-                    for pk, pv in poly.items():
-                        for ek, ev in entry.items():
-                            k = pk + ek
-                            acc[k] = acc.get(k, 0) + pv * ev
-        # prune dead columns and zero polynomials
-        must = seen_last.get(step)
+                    acc = new_states[nm] = {}
+                met.add(nm)
+                get = acc.get
+                for ek, ev in entry.items():
+                    ev *= sign
+                    for k, v in poly.items():
+                        k += ek
+                        acc[k] = get(k, 0) + v * ev
         states = {}
         for mask, poly in new_states.items():
-            if must and any(not (mask >> c) & 1 for c in must):
-                continue
-            cleaned = {k: v for k, v in poly.items() if v}
-            if cleaned:
-                states[mask] = cleaned
-    full = (1 << n) - 1
-    result = states.get(full, {})
+            if mask in met:
+                poly = {k: v for k, v in poly.items() if v}
+                if not poly:
+                    continue
+            states[mask] = poly
+    result = states.get((1 << n) - 1, {})
     if perm_sign < 0:
         result = {k: -v for k, v in result.items()}
-    return result
+    return from_keys(rg.ZZ, nvars, result, width)
 
 
 def _permutation_sign(perm):
@@ -285,26 +289,23 @@ def _permutation_sign(perm):
     return sign
 
 
-def _collect_per_var_bounds(sparse_rows, nvars):
-    bounds = [0] * nvars
-    for row in sparse_rows:
-        rowmax = [0] * nvars
-        for poly in row.values():
-            for exp in poly.terms:
-                for j, e in enumerate(exp):
-                    if e > rowmax[j]:
-                        rowmax[j] = e
-        for j in range(nvars):
-            bounds[j] += rowmax[j]
-    return bounds
-
-
 def det_payload_auto(ring, rows):
     """Determinant of a square payload matrix, choosing an engine.
 
-    Single-nonzero rows and columns are stripped first.  One-level
-    polynomial extensions of Z go through the packed division-free DP;
-    everything else (integers, rationals, other domains) uses Bareiss.
+    Single-nonzero rows and columns are stripped first.  Over a one-level
+    polynomial extension of Z, a block of three or more rows goes through
+    :func:`det_packed`; everything else (integers, rationals, other
+    domains, and 2x2 blocks) uses Bareiss.  Median time per stripped
+    block, packed against Bareiss, on a 2-core x86_64 machine with Python
+    3.11 (in how many blocks packed was faster):
+
+    * random Z[s,t,u] matrices drawn as in the tests: size 2, 0.066 ms
+      against 0.060 ms (1 of 7); size 3, 0.098 against 0.171 ms (10/10);
+      size 4, 0.154 against 0.402 ms; size 5, 0.25 against 0.93 ms;
+      size 7, 0.87 against 4.8 ms;
+    * Z[s,t] Macaulay blocks of the family workload, seeds 1-2: size 2,
+      0.046 against 0.045 ms (2 of 8); size 3, 0.12 against 0.21 ms;
+      size 4, 0.14 against 0.41 ms; size 14, 32 against 435 ms.
     """
     n = len(rows)
     sparse = []
@@ -313,37 +314,14 @@ def det_payload_auto(ring, rows):
     factor, sign, rows_alive, cols_alive = strip_single_entries(sparse, n, ring)
     if not rows_alive:
         return rg.val_neg(ring, factor) if sign < 0 else factor
-    sub = [[rows[i][j] for j in cols_alive] for i in rows_alive]
-    if (
-        ring.kind == rg.POLYEXT
-        and ring.base == rg.ZZ
-        and len(sub) >= 5
-    ):
-        core = _det_packed_over_zz_ext(ring, sub)
+    if ring.kind == rg.POLYEXT and ring.base == rg.ZZ and len(rows_alive) >= 3:
+        alive = set(cols_alive)
+        sub = [{j: v for j, v in sparse[i].items() if j in alive} for i in rows_alive]
+        core = det_packed(sub, cols_alive, len(ring.variables))
     else:
-        core = det_bareiss(ring, sub)
+        core = det_bareiss(ring, [[rows[i][j] for j in cols_alive] for i in rows_alive])
     out = rg.val_mul(ring, factor, core)
     return rg.val_neg(ring, out) if sign < 0 else out
-
-
-def _det_packed_over_zz_ext(ring, rows):
-    nvars = len(ring.variables)
-    sparse = []
-    for r in rows:
-        sparse.append({j: v for j, v in enumerate(r) if not v.is_zero()})
-    bounds = _collect_per_var_bounds(sparse, nvars)
-    shift = max(b.bit_length() for b in bounds) + 1 if bounds else 1
-    packed_rows = []
-    for row in sparse:
-        packed_rows.append(
-            {
-                c: {pack_exponents(e, shift): v for e, v in poly.terms.items()}
-                for c, poly in row.items()
-            }
-        )
-    result = det_packed(packed_rows, list(range(len(rows))))
-    terms = {unpack_exponents(k, shift, nvars): v for k, v in result.items()}
-    return MultiPoly(ring.base, nvars, {e: c for e, c in terms.items() if c})
 
 
 def det_poly_matrix(mat):

@@ -1,9 +1,33 @@
 """Sparse multivariate polynomials.
 
-A :class:`MultiPoly` stores a map from exponent tuples to nonzero payload
-coefficients of one coefficient ring (see :mod:`elimkit.ring`).  The term
-order used for printing, leading terms and division is graded
-lexicographic with X1 > X2 > ... throughout.
+A :class:`MultiPoly` maps monomials to nonzero payload coefficients of one
+coefficient ring (see :mod:`elimkit.ring`).  The term order used for
+printing, leading terms and division is graded lexicographic with
+X1 > X2 > ... throughout.
+
+Each monomial is held as one integer key, as in Monagan and Pearce
+("Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  A key in n variables has n + 1 fields of w bits:
+the total degree in the top field, then the exponents of X1, ..., Xn,
+X1 most significant.  The top bit of every field is a guard bit and is
+clear in a key.  So integer order on keys is graded lex order, the key
+of a product of monomials is the sum of their keys, and X^b divides X^a
+exactly when key(a) - key(b) sets no guard bit: a field that borrows
+sets its own guard bit, and a negative difference sets every bit above.
+
+The width w comes from the polynomial's total degree: it is the first of
+8, 16, 32, ... bits whose fields hold that degree below the guard bit.
+A product, or a determinant, whose degree needs more room is computed at
+a wider width, and its operands are repacked to it; no exponent is
+capped.  The layout is private to this module.  The determinant engine
+gets keys through :func:`shared_keys` and hands them back through
+:func:`from_keys`, and only relies on keys adding under multiplication.
+
+``terms`` is the public view: a dict from exponent tuples to
+coefficients.  A polynomial built from such a dict keeps it and packs it
+on the first operation that runs on keys; a polynomial computed on keys
+builds the dict on the first read of ``terms`` and caches it.  Neither
+may be mutated.
 
 All variable indices in the public API are 1-based, matching the usual
 X_1, ..., X_n notation.
@@ -80,19 +104,155 @@ def monomials_of_degree(nvars, d):
     return out
 
 
+# ---------------------------------------------------------------------------
+# packed monomial keys (layout in the module docstring)
+
+
+def _width_for(degree):
+    """The field width, guard bit included, for total degrees up to ``degree``."""
+    w = 8
+    while degree >> (w - 1):
+        w *= 2
+    return w
+
+
+def _encode(exp, w):
+    key = sum(exp)
+    for x in exp:
+        key = (key << w) | x
+    return key
+
+
+def _decode(key, w, n):
+    if w == 8:
+        return tuple(key.to_bytes(n + 1, "big")[1:])
+    mask = (1 << w) - 1
+    return tuple((key >> (w * j)) & mask for j in range(n - 1, -1, -1))
+
+
+def _guard_bits(w, n):
+    """The guard bit of each of the n + 1 fields."""
+    return ((1 << (w * (n + 1))) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _pack(terms, w):
+    if w == 8:
+        return {int.from_bytes(bytes((sum(e), *e)), "big"): c for e, c in terms.items()}
+    return {_encode(e, w): c for e, c in terms.items()}
+
+
+def from_keys(ring, nvars, keys, width):
+    """The polynomial with key dict ``keys`` at ``width`` (from :func:`shared_keys`)."""
+    p = object.__new__(MultiPoly)
+    p.ring = ring
+    p.nvars = nvars
+    p._terms = None
+    p._keys = keys
+    p._width = width
+    return p
+
+
+def shared_keys(polys, degree):
+    """(width, the key dicts of ``polys``) at one width that holds total degree ``degree``.
+
+    The key of a product of monomials is the sum of their keys; that is
+    all a caller may assume about a key.
+    """
+    w = max([_width_for(degree)] + [p._packed()[1] for p in polys])
+    return w, [p._packed(w)[0] for p in polys]
+
+
+def _aligned(a, b):
+    """(keys of a, keys of b, width) at the wider of the two widths."""
+    ka, wa = a._packed()
+    kb, wb = b._packed(wa)
+    if wb > wa:
+        ka, wa = a._packed(wb)
+    return ka, kb, wa
+
+
+# coefficient rings whose payload arithmetic is Python's own + - * and truth
+_PLAIN = (rg.INTEGERS, rg.RATIONALS)
+
+
+def _add_keys(ring, ka, kb, negate):
+    """ka + kb, or ka - kb when ``negate``, with cancelled terms dropped."""
+    out = dict(ka)
+    if ring.kind in _PLAIN:
+        for k, c in kb.items():
+            s = out.pop(k, 0) + (-c if negate else c)
+            if s:
+                out[k] = s
+        return out
+    for k, c in kb.items():
+        if negate:
+            c = rg.val_neg(ring, c)
+        s = rg.val_add(ring, out[k], c) if k in out else c
+        if rg.val_is_zero(ring, s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _mul_keys(ring, ka, kb):
+    """The key dict of the product; ``kb`` is the shorter factor."""
+    if ring.kind in _PLAIN:
+        if len(kb) == 1:
+            ((eb, cb),) = kb.items()
+            return {k + eb: c * cb for k, c in ka.items()}
+        out = {}
+        get = out.get
+        for eb, cb in kb.items():
+            for k, c in ka.items():
+                k += eb
+                out[k] = get(k, 0) + c * cb
+        return {k: c for k, c in out.items() if c}
+    out = {}
+    for eb, cb in kb.items():
+        for k, c in ka.items():
+            k += eb
+            p = rg.val_mul(ring, c, cb)
+            out[k] = rg.val_add(ring, out[k], p) if k in out else p
+    return {k: c for k, c in out.items() if not rg.val_is_zero(ring, c)}
+
+
 class MultiPoly:
     """Immutable-by-convention sparse polynomial.
 
-    Do not mutate ``terms`` after construction; every operation returns a
-    fresh object.
+    Every operation returns a fresh object.  See the module docstring for
+    the ``terms`` view and the packed keys behind it.
     """
 
-    __slots__ = ("ring", "nvars", "terms")
+    __slots__ = ("ring", "nvars", "_terms", "_keys", "_width")
 
     def __init__(self, ring, nvars, terms):
         self.ring = ring
         self.nvars = nvars
-        self.terms = terms
+        self._terms = terms
+        self._keys = None
+        self._width = 0
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, built from the keys on first read."""
+        if self._terms is None:
+            w, n = self._width, self.nvars
+            self._terms = {_decode(k, w, n): c for k, c in self._keys.items()}
+        return self._terms
+
+    def _packed(self, width=0):
+        """(key dict, width): the keys at ``width``, or at this polynomial's
+        own width when that is wider.  Widening replaces the stored keys."""
+        if self._keys is None:
+            terms = self._terms
+            self._width = _width_for(max(map(sum, terms), default=0))
+            self._keys = _pack(terms, self._width)
+        if width > self._width:
+            n = self.nvars
+            self._keys = {_encode(_decode(k, self._width, n), width): c for k, c in self._keys.items()}
+            self._width = width
+        return self._keys, self._width
 
     # -- constructors -------------------------------------------------
 
@@ -144,7 +304,7 @@ class MultiPoly:
     # -- basics --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not (self._terms if self._keys is None else self._keys)
 
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
@@ -157,25 +317,29 @@ class MultiPoly:
 
     def total_degree(self):
         """Max term degree; None for the zero polynomial."""
-        if not self.terms:
+        if self.is_zero():
             return None
-        return max(sum(e) for e in self.terms)
+        keys, w = self._packed()
+        return max(keys) >> (w * self.nvars)
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        keys, w = self._packed()
+        if not keys:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        k = max(keys)
+        return _decode(k, w, self.nvars), keys[k]
 
     def eq(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if self.ring != other.ring or self.nvars != other.nvars:
             return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(rg.val_eq(self.ring, c, other.terms[e]) for e, c in self.terms.items())
+        if self._keys is None and other._keys is None:
+            return self._terms == other._terms
+        ka, kb, _ = _aligned(self, other)
+        # dict equality compares coefficients with ==, which is val_eq
+        return ka == kb
 
     __eq__ = eq
     __hash__ = None
@@ -183,7 +347,7 @@ class MultiPoly:
     def _check_compatible(self, other):
         if not isinstance(other, MultiPoly):
             raise RingMismatch(f"expected MultiPoly, got {other!r}")
-        if self.ring != other.ring or self.nvars != other.nvars:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.nvars != other.nvars:
             raise RingMismatch(
                 f"incompatible polynomials: {self.ring!r}/{self.nvars} vs {other.ring!r}/{other.nvars}"
             )
@@ -192,68 +356,43 @@ class MultiPoly:
 
     def add(self, other):
         self._check_compatible(other)
-        ring = self.ring
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = rg.val_add(ring, out[e], c)
-                if rg.val_is_zero(ring, s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return MultiPoly(ring, self.nvars, out)
-
-    def neg(self):
-        ring = self.ring
-        return MultiPoly(ring, self.nvars, {e: rg.val_neg(ring, c) for e, c in self.terms.items()})
+        ka, kb, w = _aligned(self, other)
+        return from_keys(self.ring, self.nvars, _add_keys(self.ring, ka, kb, False), w)
 
     def sub(self, other):
-        return self.add(other.neg())
+        self._check_compatible(other)
+        ka, kb, w = _aligned(self, other)
+        return from_keys(self.ring, self.nvars, _add_keys(self.ring, ka, kb, True), w)
+
+    def neg(self):
+        keys, w = self._packed()
+        return from_keys(self.ring, self.nvars, {k: rg.val_neg(self.ring, c) for k, c in keys.items()}, w)
 
     def mul(self, other):
         self._check_compatible(other)
-        ring = self.ring
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = rg.val_mul(ring, c1, c2)
-                if e in out:
-                    out[e] = rg.val_add(ring, out[e], p)
-                else:
-                    out[e] = p
-        return MultiPoly(ring, self.nvars, {e: c for e, c in out.items() if not rg.val_is_zero(ring, c)})
+        ring, n = self.ring, self.nvars
+        ka, wa = self._packed()
+        kb, wb = other._packed()
+        if not ka or not kb:
+            return MultiPoly.zero(ring, n)
+        degree = (max(ka) >> (wa * n)) + (max(kb) >> (wb * n))
+        w = max(wa, wb, _width_for(degree))
+        ka, _ = self._packed(w)
+        kb, _ = other._packed(w)
+        if len(ka) < len(kb):
+            ka, kb = kb, ka
+        return from_keys(ring, n, _mul_keys(ring, ka, kb), w)
 
     def scale(self, payload):
         """Multiply by a ring payload."""
         ring = self.ring
         if rg.val_is_zero(ring, payload):
             return MultiPoly.zero(ring, self.nvars)
-        out = {}
-        for e, c in self.terms.items():
-            p = rg.val_mul(ring, c, payload)
-            if not rg.val_is_zero(ring, p):
-                out[e] = p
-        return MultiPoly(ring, self.nvars, out)
+        keys, w = self._packed()
+        return from_keys(ring, self.nvars, _mul_keys(ring, keys, {0: payload}), w)
 
     def scale_int(self, k):
         return self.scale(rg.val_from_int(self.ring, k))
-
-    def mul_monomial(self, exp, coeff=None):
-        exp = tuple(exp)
-        ring = self.ring
-        if coeff is None:
-            return MultiPoly(
-                ring, self.nvars, {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()}
-            )
-        out = {}
-        for e, c in self.terms.items():
-            p = rg.val_mul(ring, c, coeff)
-            if not rg.val_is_zero(ring, p):
-                out[tuple(a + b for a, b in zip(e, exp))] = p
-        return MultiPoly(ring, self.nvars, out)
 
     def pow(self, k):
         if k < 0:
@@ -534,13 +673,19 @@ def substitute(f, images):
 def poly_exact_div(a, b):
     """The quotient q with q*b = a, when it exists in the polynomial ring.
 
-    Leading-term division under graded lex, on a heap (Monagan and
-    Pearce, "Sparse polynomial division using a heap", 2011).  The
-    remainder is a dict updated in place, and a max-heap of its monomials
-    yields its leading term; a popped monomial that has meanwhile
+    Leading-term division under graded lex, on a heap of packed keys
+    (Monagan and Pearce, "Sparse polynomial division using a heap",
+    2011).  The remainder is a dict updated in place, and a max-heap of
+    its keys yields its leading term; a popped key that has meanwhile
     cancelled out of the dict is skipped.  Each step subtracts
     qc * X^ne * tail(b), whose monomials all lie below the one just
-    removed, so no step copies or rescans the remainder.
+    removed, so no step copies or rescans the remainder.  A monomial
+    divides another when the difference of their keys sets no guard bit.
+    Over Z the coefficients are plain ints.
+
+    A divisor with one term divides each term of ``a`` in turn.  If some
+    term does not divide, the heap runs instead, so that the error and
+    its witness are the same on both paths.
 
     Raises NotDivisible with the remainder at that step as witness.
     Over coefficient rings with zero divisors a unique quotient may be
@@ -552,47 +697,83 @@ def poly_exact_div(a, b):
     a._check_compatible(b)
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    ring = a.ring
-    eb, cb = b.leading()
-    tail = [(e, c) for e, c in b.terms.items() if e != eb]
-    rem = dict(a.terms)
-    # heap entries (-degree, negated exponents, exponents): the smallest
-    # entry is the graded-lex largest monomial
-    heap = [(-sum(e), tuple(-k for k in e), e) for e in rem]
+    ring, n = a.ring, a.nvars
+    integers = ring.kind == rg.INTEGERS
+    ka, kb, w = _aligned(a, b)
+    lb = max(kb)
+    cb = kb[lb]
+    guard = _guard_bits(w, n)
+    if len(kb) == 1:
+        if integers and lb == 0 and cb == 1:
+            return a
+        q = _divide_by_term(ring, ka, lb, cb, guard)
+        if q is not None:
+            return from_keys(ring, n, q, w)
+    tail = [(k, c) for k, c in kb.items() if k != lb]
+    rem = dict(ka)
+    heap = [-k for k in rem]
     heapq.heapify(heap)
-    qterms = {}
+    push, pop = heapq.heappush, heapq.heappop
+    q = {}
     while heap:
-        er = heapq.heappop(heap)[2]
-        cr = rem.get(er)
+        kr = -pop(heap)
+        cr = rem.get(kr)
         if cr is None:
             continue
-        ne = tuple(x - y for x, y in zip(er, eb))
-        if any(k < 0 for k in ne):
-            raise NotDivisible("leading monomial not divisible", witness=MultiPoly(ring, a.nvars, rem))
+        d = kr - lb
+        if d & guard:
+            raise NotDivisible("leading monomial not divisible", witness=from_keys(ring, n, rem, w))
         try:
             qc = rg.val_exact_divide(ring, cr, cb)
         except NotDivisible as exc:
             raise NotDivisible(
-                "leading coefficient not divisible", witness=MultiPoly(ring, a.nvars, rem)
+                "leading coefficient not divisible", witness=from_keys(ring, n, rem, w)
             ) from exc
-        qterms[ne] = qc
-        del rem[er]  # qc * cb = cr exactly
-        for e, c in tail:
+        q[d] = qc
+        del rem[kr]  # qc * cb = cr exactly
+        if integers:
+            for k, c in tail:
+                k += d
+                p = qc * c
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = -p
+                    push(heap, -k)
+                elif old == p:
+                    del rem[k]
+                else:
+                    rem[k] = old - p
+            continue
+        for k, c in tail:
             p = rg.val_mul(ring, qc, c)
             if rg.val_is_zero(ring, p):
                 continue
-            k = tuple(x + y for x, y in zip(e, ne))
+            k += d
             old = rem.get(k)
             if old is None:
                 rem[k] = rg.val_neg(ring, p)
-                heapq.heappush(heap, (-sum(k), tuple(-x for x in k), k))
+                push(heap, -k)
             else:
                 s = rg.val_sub(ring, old, p)
                 if rg.val_is_zero(ring, s):
                     del rem[k]
                 else:
                     rem[k] = s
-    return MultiPoly(ring, a.nvars, qterms)
+    return from_keys(ring, n, q, w)
+
+
+def _divide_by_term(ring, keys, lb, cb, guard):
+    """The key dict of keys / (cb * X^lb), or None when a term does not divide."""
+    out = {}
+    for k, c in keys.items():
+        d = k - lb
+        if d & guard:
+            return None
+        try:
+            out[d] = rg.val_exact_divide(ring, c, cb)
+        except NotDivisible:
+            return None
+    return out
 
 
 def _scalar_sqrt(ring, c):

@@ -136,9 +136,10 @@ def build_macaulay(fs, sig):
         shift = list(gamma)
         shift[i] -= d[i]
         row = [zero] * len(cols)
+        # the targets shift + beta of one row are distinct, so each entry
+        # is assigned once and never added to
         for beta, c in fs[i].terms.items():
-            target = tuple(a + b for a, b in zip(shift, beta))
-            row[colpos[target]] = rg.val_add(ring, row[colpos[target]], c)
+            row[colpos[tuple(a + b for a, b in zip(shift, beta))]] = c
         rows.append(row)
         row_slot.append(i + 1)
         if sum(1 for j in range(n) if gamma[j] >= d[j]) >= 2:

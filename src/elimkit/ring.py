@@ -415,9 +415,6 @@ class RingElement:
     def is_zero(self):
         return val_is_zero(self.ring, self.value)
 
-    def is_unit(self):
-        return val_is_unit(self.ring, self.value)
-
     def is_nzd(self):
         return val_is_nzd(self.ring, self.value)
 

@@ -8,11 +8,10 @@ import pytest
 import elimkit.ring as rg
 from elimkit.determinants import (
     det_bareiss,
+    det_packed,
     det_payload_auto,
     det_poly_matrix,
-    pack_exponents,
     strip_single_entries,
-    unpack_exponents,
 )
 from elimkit.mpoly import DegreeSignature, MultiPoly, monomials_of_degree
 from elimkit.resultant import build_macaulay
@@ -63,12 +62,6 @@ def test_bareiss_modular():
     assert det_bareiss(rg.Zmod(5), rows) == 2
 
 
-def test_pack_round_trip():
-    exp = (3, 0, 7, 1)
-    key = pack_exponents(exp, 4)
-    assert unpack_exponents(key, 4, 4) == exp
-
-
 def test_strip_single_entries():
     ring = rg.ZZ
     rows = [{0: 2}, {0: 1, 1: 3, 2: 1}, {2: 5}]
@@ -108,7 +101,7 @@ def random_ext_matrix(rnd, ring, n, nsyms):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_packed_agrees_with_bareiss_above_threshold(n):
-    """The auto dispatcher switches engines at size 5; both must agree."""
+    """The auto dispatcher switches engines at size 3; both must agree."""
     names = tuple(f"s{i}" for i in range(3))
     ring = rg.polyext(rg.ZZ, names)
     rnd = random.Random(100 + n)
@@ -120,6 +113,40 @@ def test_packed_agrees_with_bareiss_above_threshold(n):
             assert auto.eq(plain)
         else:
             assert rg.val_eq(ring, auto, plain)
+
+
+def random_entry(rnd, kind):
+    """A polynomial over Z in s, t, u: one term, several terms, or zero."""
+    if kind == "zero":
+        return MultiPoly.zero(rg.ZZ, 3)
+    terms = {}
+    for _ in range(1 if kind == "one" else rnd.randint(2, 4)):
+        e = tuple(rnd.choice((0, 0, 1, 2, 40)) for _ in range(3))
+        terms[e] = rnd.choice((-3, -2, -1, 1, 1, 2, 5))
+    return MultiPoly(rg.ZZ, 3, terms)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_det_packed_agrees_with_bareiss(n):
+    """det_packed against det_bareiss over Z[s,t,u], on matrices of
+    one-term entries, of many-term entries, of both, and with a row that
+    is a multiple of another so that every state cancels.  Exponents of 40
+    push the degree of the larger determinants past one key width."""
+    ring = rg.polyext(rg.ZZ, ("s", "t", "u"))
+    rnd = random.Random(300 + n)
+    cols = [3 * j + 1 for j in range(n)]
+    kinds = [("one", "zero"), ("many", "zero"), ("one", "many", "zero")]
+    for trial in range(12):
+        mix = kinds[trial % 3]
+        rows = [[random_entry(rnd, rnd.choice(mix)) for _ in range(n)] for _ in range(n)]
+        if trial >= 9 and n >= 2:
+            factor = random_entry(rnd, "many")
+            rows[-1] = [e.mul(factor) for e in rows[0]]
+        sparse = [{c: e for c, e in zip(cols, row) if not e.is_zero()} for row in rows]
+        got = det_packed(sparse, cols, 3)
+        want = det_bareiss(ring, rows)
+        assert got.ring == rg.ZZ and got.eq(want)
+        assert trial < 9 or n < 2 or got.is_zero()
 
 
 def test_auto_small_matrix_uses_bareiss_result():

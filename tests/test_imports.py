@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used there or listed in its __all__.
+"""Every name a module of the package imports is used there or listed in
+its __all__, and every function it defines is referenced somewhere.
 
-pyflakes and ruff are not dependencies of the project, so this covers
-their unused-import check with the standard library alone.
+pyflakes, ruff and vulture are not dependencies of the project, so this
+covers their unused-import and dead-code checks with the standard
+library alone.
 """
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "elimkit"
 
@@ -41,3 +44,39 @@ def test_no_unused_imports_in_the_package():
         for line, name in unused_imports(path.read_text(encoding="utf-8")):
             found.append(f"{path.name}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+ROOT = SRC.parent.parent
+
+
+def dead_definitions(root):
+    """Functions and methods of the package whose name is written nowhere
+    else in src/, tests/, bench/ or the README.
+
+    Dunders and decorated functions (click commands, properties,
+    staticmethods) are exempt: something other than a call by name
+    reaches them.
+    """
+    corpus = [root / "README.md"]
+    for part in ("src", "tests", "bench"):
+        corpus += sorted((root / part).rglob("*.py")) + sorted((root / part).rglob("*.md"))
+    text = "\n".join(p.read_text(encoding="utf-8") for p in corpus if p.is_file())
+    words = {}
+    for word in re.findall(r"\w+", text):
+        words[word] = words.get(word, 0) + 1
+    found = []
+    for path in sorted((root / "src" / "elimkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.decorator_list:
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if words.get(name, 0) <= 1:  # the def itself
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_no_dead_definitions():
+    found = dead_definitions(ROOT)
+    assert not found, "defined but never referenced:\n" + "\n".join(found)

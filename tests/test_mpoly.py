@@ -21,6 +21,10 @@ from elimkit.jacobian import jac_full, jac_minor
 from elimkit.mertens import lemmaA_product, theta
 from elimkit.mpoly import (
     DegreeSignature,
+    _encode,
+    _guard_bits,
+    _width_for,
+    from_keys,
     MultiPoly,
     dehomogenize,
     evaluate_coefficients,
@@ -244,6 +248,160 @@ class TestExactDivision:
     def test_poly_content(self):
         f = P({(1, 0): 6, (0, 1): -9})
         assert poly_content(f).value == 3
+
+
+def ref_add(ring, a, b, negate=False):
+    """a + b (a - b when ``negate``) on tuple-key dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        if negate:
+            c = rg.val_neg(ring, c)
+        s = rg.val_add(ring, out[e], c) if e in out else c
+        if rg.val_is_zero(ring, s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def ref_mul(ring, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            p = rg.val_mul(ring, c1, c2)
+            out[e] = rg.val_add(ring, out[e], p) if e in out else p
+    return {e: c for e, c in out.items() if not rg.val_is_zero(ring, c)}
+
+
+def ref_leading(terms):
+    e = max(terms, key=grlex_key)
+    return e, terms[e]
+
+
+def ref_div(ring, a, b):
+    """(quotient, None), or (None, the remainder when leading-term division stops)."""
+    eb, cb = ref_leading(b)
+    rem, q = dict(a), {}
+    while rem:
+        er, cr = ref_leading(rem)
+        ne = tuple(x - y for x, y in zip(er, eb))
+        if any(k < 0 for k in ne):
+            return None, rem
+        try:
+            qc = rg.val_exact_divide(ring, cr, cb)
+        except NotDivisible:
+            return None, rem
+        q[ne] = qc
+        rem = ref_add(ring, rem, ref_mul(ring, {ne: qc}, b), negate=True)
+    return q, None
+
+
+# payloads of Z, Q, Z/12 and Z[s]; exponents small, at a width boundary, or
+# large enough to widen the keys
+PACKED_PAYLOADS = {**DIVISION_PAYLOADS, rg.Zmod(12): st.integers(0, 11)}
+del PACKED_PAYLOADS[rg.Zmod(7)]
+EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from([63, 64, 127, 128, 2**40]))
+
+
+def term_dicts(ring, nvars, exponents=EXPONENTS):
+    exps = st.tuples(*([exponents] * nvars))
+    return st.dictionaries(exps, PACKED_PAYLOADS[ring], max_size=4).map(
+        lambda d: {e: c for e, c in d.items() if not rg.val_is_zero(ring, c)}
+    )
+
+
+class TestPackedKeys:
+    """Integer monomial keys against the exponent tuples they stand for."""
+
+    def test_pack_round_trip(self):
+        for exp in [(3, 0, 7, 1), (127, 0, 0, 0), (0, 64, 63, 0), (128, 0, 0, 0), (2**40, 1, 0, 5), ()]:
+            p = MultiPoly(rg.ZZ, len(exp), {exp: 1})
+            keys, w = p._packed()
+            assert w == _width_for(sum(exp)) and from_keys(rg.ZZ, len(exp), keys, w).terms == {exp: 1}
+        assert _width_for(127) == 8 and _width_for(128) == 16 and _width_for(2**40 + 6) == 64
+        # widening a polynomial keeps its terms
+        p = MultiPoly(rg.ZZ, 3, {(1, 2, 3): 4, (0, 0, 0): -1})
+        keys, w = p._packed(32)
+        assert w == 32 and from_keys(rg.ZZ, 3, keys, w).terms == {(1, 2, 3): 4, (0, 0, 0): -1}
+
+    def test_integer_order_is_grlex_order(self):
+        exps = [e for d in range(5) for e in monomials_of_degree(3, d)] + [(127, 0, 0), (0, 0, 127)]
+        for w in (8, 16, 64):
+            keys = {_encode(e, w): e for e in exps}
+            assert [keys[k] for k in sorted(keys)] == sorted(exps, key=grlex_key)
+
+    def test_guard_bit_catches_a_borrow(self):
+        """X1 / X2: equal degrees, so only the borrow from the X2 field shows."""
+        x1, x2 = MultiPoly.variable(rg.ZZ, 2, 1), MultiPoly.variable(rg.ZZ, 2, 2)
+        (k1,), w = x1._packed()
+        (k2,), _ = x2._packed()
+        assert k1 > k2 and (k1 - k2) & _guard_bits(w, 2)
+        with pytest.raises(NotDivisible) as info:
+            poly_exact_div(x1, x2)
+        assert info.value.witness.terms == {(1, 0): 1}
+        assert poly_exact_div(x1.mul(x2), x2).terms == {(1, 0): 1}
+
+    @pytest.mark.parametrize("ring", list(PACKED_PAYLOADS), ids=repr)
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_against_tuple_reference(self, ring, nvars, data):
+        a, b = (data.draw(term_dicts(ring, nvars)) for _ in range(2))
+        # small exponents in the part that spoils divisibility: dividing
+        # X1^(2^40) by X1 + X2 would take 2^40 steps before it failed
+        c = data.draw(term_dicts(ring, nvars, st.integers(0, 3)))
+        A, B = MultiPoly(ring, nvars, dict(a)), MultiPoly(ring, nvars, dict(b))
+        assert A.mul(B).terms == ref_mul(ring, a, b)
+        assert A.add(B).terms == ref_add(ring, a, b)
+        assert A.sub(B).terms == ref_add(ring, a, b, negate=True)
+        assert A.eq(B) == (a == b)
+        if a:
+            assert A.leading() == ref_leading(a)
+        # the same polynomial on wider keys, through a product and a quotient
+        big = MultiPoly.monomial(ring, nvars, (300,) * nvars, rg.val_one(ring))
+        wide = poly_exact_div(A.mul(big), big)
+        assert wide.eq(A) and A.eq(wide) and wide.terms == a
+        if not b:
+            return
+        for dividend in (ref_mul(ring, a, b), ref_add(ring, ref_mul(ring, a, b), c)):
+            q, rem = ref_div(ring, dividend, b)
+            if q is not None:
+                assert poly_exact_div(MultiPoly(ring, nvars, dividend), B).terms == q
+            else:
+                with pytest.raises(NotDivisible) as info:
+                    poly_exact_div(MultiPoly(ring, nvars, dividend), B)
+                assert info.value.witness.terms == rem
+
+    def test_failures_raise_under_python_dash_o(self):
+        """A guard-bit-only monomial failure and a coefficient failure, on
+        both division paths; each witness carries tuple keys."""
+        code = (
+            "from elimkit import ring as rg\n"
+            "from elimkit.errors import NotDivisible\n"
+            "from elimkit.mpoly import MultiPoly, poly_exact_div\n"
+            "cases = [\n"
+            "    ({(1, 0): 1}, {(0, 1): 1}),\n"
+            "    ({(1, 1): 3}, {(0, 1): 2}),\n"
+            "    ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1}),\n"
+            "    ({(2, 0): 2, (1, 1): 1}, {(1, 0): 2, (0, 1): 2}),\n"
+            "]\n"
+            "for a, b in cases:\n"
+            "    try:\n"
+            "        poly_exact_div(MultiPoly(rg.ZZ, 2, a), MultiPoly(rg.ZZ, 2, b))\n"
+            "    except NotDivisible as exc:\n"
+            "        print(sorted(exc.witness.terms.items()))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:4] == [
+            "[((1, 0), 1)]",
+            "[((1, 1), 3)]",
+            "[((0, 0), 1), ((0, 2), 1)]",
+            "[((1, 1), -1)]",
+        ]
 
 
 class TestGenericSystems:
