@@ -72,6 +72,7 @@ from .mpoly import (
     partial_derivative,
     poly_content,
     poly_sqrt,
+    weight_valuation,
     zariski_weight_vector,
 )
 from .oracle import poi_check
@@ -132,8 +133,8 @@ def coeff_from_json(ring, doc):
             raise DocumentError(f"extension coefficient must be a term object, got {doc!r}")
         terms = {}
         for t in doc["terms"]:
-            e = tuple(int(x) for x in t["exp"])
-            if len(e) != len(ring.variables) or any(x < 0 for x in e):
+            e = tuple(t["exp"])
+            if len(e) != len(ring.variables) or any(type(x) is not int or x < 0 for x in e):
                 raise DocumentError(f"bad extension exponent {t['exp']!r}")
             if e in terms:
                 raise DocumentError(f"duplicate extension exponent {t['exp']!r}")
@@ -192,14 +193,23 @@ def poly_to_json(f, degree=None):
     return doc
 
 
+def _json_int(value, what):
+    """``value`` if it is a JSON integer (not a boolean), else DocumentError."""
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def poly_from_json(ring, nvars, doc):
     if not isinstance(doc, dict) or "terms" not in doc:
         raise DocumentError(f"polynomial must be an object with terms, got {doc!r}")
     declared = doc.get("degree")
+    if declared is not None:
+        _json_int(declared, "degree")
     terms = {}
     for t in doc["terms"]:
-        e = tuple(int(x) for x in t["exp"])
-        if len(e) != nvars or any(x < 0 for x in e):
+        e = tuple(t["exp"])
+        if len(e) != nvars or any(type(x) is not int or x < 0 for x in e):
             raise DocumentError(f"bad exponent {t['exp']!r} for {nvars} variables")
         if declared is not None and sum(e) != declared:
             raise DocumentError(
@@ -213,22 +223,26 @@ def poly_from_json(ring, nvars, doc):
 
 
 def system_from_json(doc):
+    """(ring, nvars, variables, polynomials) of a document; DocumentError
+    for anything malformed in it, down to a single term."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     try:
         ring = rg.RingDescriptor.from_json(doc["ring"])
-        nvars = int(doc["nvars"])
+        nvars = _json_int(doc["nvars"], "nvars")
+        if nvars < 1:
+            raise DocumentError(f"nvars must be positive, got {nvars}")
+        variables = list(doc.get("variables", default_variables(nvars)))
+        if len(variables) != nvars:
+            raise DocumentError(f"{nvars} variable names expected, got {len(variables)}")
         polys = doc["polynomials"]
-    except (KeyError, TypeError, ElimkitError) as exc:
-        raise DocumentError(f"malformed document: {exc}")
-    if nvars < 1:
-        raise DocumentError(f"nvars must be positive, got {nvars}")
-    variables = doc.get("variables", default_variables(nvars))
-    if len(variables) != nvars:
-        raise DocumentError(f"{nvars} variable names expected, got {len(variables)}")
-    if not isinstance(polys, list) or not polys:
-        raise DocumentError("document needs a nonempty polynomial list")
-    return ring, nvars, list(variables), [poly_from_json(ring, nvars, p) for p in polys]
+        if not isinstance(polys, list) or not polys:
+            raise DocumentError("document needs a nonempty polynomial list")
+        return ring, nvars, variables, [poly_from_json(ring, nvars, p) for p in polys]
+    except DocumentError:
+        raise
+    except (KeyError, TypeError, ValueError, ElimkitError) as exc:
+        raise DocumentError(f"malformed document: {exc!r}")
 
 
 def system_to_json(ring, nvars, variables, fs, degrees=None):
@@ -506,24 +520,12 @@ def cmd_mertens_check(which, sig_text, trials, seed, ring_text, fmt):
         raise DocumentError("signature needs at least two positive degrees")
     n = len(degrees)
     ring = parse_ring_flag(ring_text)
-    check = mertens_first if which == "1" else mertens_second
-    failures = []
+    formula = _product_formula(int(which))
     if trials <= 0:
-        sig = DegreeSignature(n, degrees)
-        ext, fs = generic_system(sig, base=ring)
-        if not check(fs[:-1], fs[-1]):
-            failures.append({"trial": "generic"})
+        ext, fs = generic_system(DegreeSignature(n, degrees), base=ring)
+        failures = [] if formula(*fs) else [{"trial": "generic"}]
     else:
-        rng = random.Random(seed)
-        for trial in range(trials):
-            fs = [_random_form(rng, ring, n, d) for d in degrees]
-            if not check(fs[:-1], fs[-1]):
-                failures.append(
-                    {
-                        "trial": trial,
-                        "witness": system_to_json(ring, n, default_variables(n), fs),
-                    }
-                )
+        failures = list(_failures(_Draws(seed), trials, ring, n, degrees, formula))
     report = {
         "which": int(which),
         "sig": list(degrees),
@@ -535,18 +537,6 @@ def cmd_mertens_check(which, sig_text, trials, seed, ring_text, fmt):
     _print(report, fmt)
     if failures:
         sys.exit(1)
-
-
-def _random_form(rng, ring, n, d):
-    while True:
-        terms = {}
-        for e in monomials_of_degree(n, d):
-            v = rng.randint(-9, 9)
-            if v:
-                terms[e] = rg.val_convert(rg.ZZ, ring, v)
-        f = MultiPoly.from_terms(ring, n, terms.items())
-        if not f.is_zero():
-            return f
 
 
 @main.command("poi-check")
@@ -576,305 +566,229 @@ def cmd_poi_check(document, fmt, max_extension):
 
 # ---------------------------------------------------------------------------
 # Verification suites
+#
+# A check is check(rng, trials) -> witness dict, or None when it holds.
+# cmd_verify turns an IdentityFailed that a check raises into a failure.
 # ---------------------------------------------------------------------------
 
 
-def _rng_for(seed, check_id):
-    return random.Random(f"{seed}:{check_id}")
+class _Draws(random.Random):
+    """The seeded generator of one check; ``skip`` counts the draws that
+    the check cannot decide, and says why."""
+
+    skipped = 0
+    why = None
+
+    def skip(self, why):
+        self.skipped += 1
+        self.why = why
 
 
-def _random_zz_form(rng, n, d, lo=-6, hi=6):
+def _random_form(rng, ring, n, d):
+    """A nonzero form of degree ``d`` in ``n`` variables over ``ring``,
+    each coefficient drawn from -9..9 and mapped into the ring."""
+    monomials = monomials_of_degree(n, d)
     while True:
-        terms = {
-            e: rng.randint(lo, hi)
-            for e in monomials_of_degree(n, d)
-            if rng.random() < 0.9
-        }
-        terms = {e: c for e, c in terms.items() if c}
-        if terms:
-            return MultiPoly(rg.ZZ, n, terms)
+        f = MultiPoly.from_terms(
+            ring, n, [(e, rg.val_convert(rg.ZZ, ring, rng.randint(-9, 9))) for e in monomials]
+        )
+        if not f.is_zero():
+            return f
 
 
-def _check_euler_scaling(rng, trials):
-    for _ in range(trials):
-        n = rng.choice([2, 3])
-        d = rng.choice([2, 3])
-        f = _random_zz_form(rng, n, d)
-        acc = MultiPoly.zero(rg.ZZ, n)
-        for i in range(1, n + 1):
-            e = [0] * n
-            e[i - 1] = 1
-            xi = MultiPoly(rg.ZZ, n, {tuple(e): 1})
-            acc = acc.add(xi.mul(partial_derivative(f, i)))
-        if not acc.eq(f.map_coefficients(lambda c: c * d)):
-            return "fail", {"nvars": n, "degree": d, "terms": sorted(f.terms.items())}
-    return "pass", None
+def _witness(trial, fs):
+    n = fs[0].nvars
+    return {"trial": trial, "witness": system_to_json(fs[0].ring, n, default_variables(n), fs)}
+
+
+def _failures(rng, trials, ring, n, degrees, holds):
+    """Witnesses of the draws on which ``holds`` fails, lazily.
+
+    Each of ``trials`` draws is one random form per degree in ``degrees``,
+    in ``n`` variables over ``ring``, passed to ``holds``.  A draw whose
+    discriminant cannot be interpolated decides nothing and is skipped.
+    """
+    for trial in range(trials):
+        fs = [_random_form(rng, ring, n, d) for d in degrees]
+        try:
+            if holds(*fs):
+                continue
+        except PerturbationDegenerate:
+            rng.skip("draws skipped when too many perturbation samples fail")
+            continue
+        yield _witness(trial, fs)
+
+
+def _each_draw(ring, n, degrees):
+    """Decorator: the check that an identity of forms of ``degrees`` holds
+    on every draw of _failures."""
+
+    def decorate(holds):
+        return lambda rng, trials: next(_failures(rng, trials, ring, n, degrees, holds), None)
+
+    return decorate
+
+
+def _product_formula(which):
+    """The identity of mertens_first (1) or mertens_second (2) on f_1, ..., f_n."""
+    formula = mertens_first if which == 1 else mertens_second
+    return lambda *fs: formula(fs[:-1], fs[-1])
+
+
+@_each_draw(rg.ZZ, 3, (3,))
+def _check_euler_scaling(f):
+    n = f.nvars
+    xs = [MultiPoly.variable(rg.ZZ, n, i) for i in range(1, n + 1)]
+    parts = (x.mul(partial_derivative(f, i)) for i, x in enumerate(xs, 1))
+    return sum(parts, MultiPoly.zero(rg.ZZ, n)).eq(f.scale_int(f.total_degree()))
 
 
 def _check_euler_bordered(rng, trials):
-    ext, fs = generic_system(DegreeSignature(2, (2,)))
-    F = MultiPoly(ext, 2, {(3, 0): rg.val_one(ext), (0, 3): rg.val_one(ext)})
-    lhs = jac_full(fs, DegreeSignature(2, (2,)), F)
-    acc = MultiPoly.zero(ext, 2)
-    for i in range(1, 3):
-        acc = acc.add(partial_derivative(F, i).mul(jac_minor(fs, DegreeSignature(2, (2,)), i)))
-    return ("pass", None) if lhs.eq(acc) else ("fail", {"case": "generic (2,)"})
+    sig = DegreeSignature(2, (2,))
+    ext, fs = generic_system(sig)
+    F = MultiPoly.variable(ext, 2, 1).pow(3).add(MultiPoly.variable(ext, 2, 2).pow(3))
+    parts = (partial_derivative(F, i).mul(jac_minor(fs, sig, i)) for i in (1, 2))
+    if not jac_full(fs, sig, F).eq(sum(parts, MultiPoly.zero(ext, 2))):
+        return {"case": "generic (2,)"}
 
 
-def _check_dedekind_mertens(rng, trials):
-    for _ in range(trials):
-        n = rng.choice([1, 2, 3])
-        f = _random_any_poly(rng, n)
-        m = _random_any_poly(rng, n)
-        if m.is_zero():
-            continue
-        length = len(m.terms)
-        cf = poly_content(f).value
-        cm = poly_content(m).value
-        cfm = poly_content(f.mul(m)).value
-        if cf**length * cm != cf ** (length - 1) * cfm:
-            return "fail", {
-                "f": sorted(f.terms.items()),
-                "m": sorted(m.terms.items()),
-            }
-    return "pass", None
-
-
-def _random_any_poly(rng, n):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        e = tuple(rng.randint(0, 3) for _ in range(n))
-        if sum(e) > 3:
-            continue
-        terms[e] = rng.randint(-8, 8)
-    terms = {e: c for e, c in terms.items() if c}
-    return MultiPoly(rg.ZZ, n, terms)
+@_each_draw(rg.ZZ, 2, (0, 2, 3))
+def _check_content_identity(c, f, m):
+    """c(f)^L c(m) = c(f)^(L-1) c(fm), L the number of terms of m; the
+    constant c gives f a content other than 1."""
+    f = f.mul(c)
+    length = len(m.terms)
+    cf, cm, cfm = (poly_content(p).value for p in (f, m, f.mul(m)))
+    return cf**length * cm == cf ** (length - 1) * cfm
 
 
 def _check_res_normalization(rng, trials):
     for n in range(1, 5):
         for d in range(1, 5):
-            fs = []
-            for i in range(n):
-                e = [0] * n
-                e[i] = d
-                fs.append(MultiPoly(rg.ZZ, n, {tuple(e): 1}))
-            out = resultant(fs, DegreeSignature(n, (d,) * n))
-            if out != rg.element(rg.ZZ, 1):
-                return "fail", {"nvars": n, "degree": d}
-    return "pass", None
+            fs = [MultiPoly.variable(rg.ZZ, n, i).pow(d) for i in range(1, n + 1)]
+            if resultant(fs, DegreeSignature(n, (d,) * n)) != rg.element(rg.ZZ, 1):
+                return {"nvars": n, "degree": d}
 
 
-def _check_res_multiplicative(rng, trials):
-    for _ in range(trials):
-        f = _random_zz_form(rng, 2, 2)
-        g = _random_zz_form(rng, 2, 1)
-        h = _random_zz_form(rng, 2, 2)
-        lhs = resultant([f.mul(g), h], DegreeSignature(2, (3, 2)))
-        rhs = resultant([f, h], DegreeSignature(2, (2, 2))) * resultant(
-            [g, h], DegreeSignature(2, (1, 2))
-        )
-        if lhs != rhs:
-            return "fail", {
-                "f": sorted(f.terms.items()),
-                "g": sorted(g.terms.items()),
-                "h": sorted(h.terms.items()),
-            }
-    return "pass", None
+@_each_draw(rg.ZZ, 2, (2, 1, 2))
+def _check_res_multiplicative(f, g, h):
+    lhs = resultant([f.mul(g), h], DegreeSignature(2, (3, 2)))
+    rf = resultant([f, h], DegreeSignature(2, (2, 2)))
+    return lhs == rf * resultant([g, h], DegreeSignature(2, (1, 2)))
 
 
 def _check_res_inertia(rng, trials):
     sig = DegreeSignature(2, (2, 1))
     ext, fs = generic_system(sig)
-    res = resultant(fs, sig)
-    ok = is_inertia_form_generic(res, sig)
-    return ("pass", None) if ok else ("fail", {"sig": [2, 1]})
+    if not is_inertia_form_generic(resultant(fs, sig), sig):
+        return {"sig": [2, 1]}
 
 
-def _check_disc_points_defeq(rng, trials):
-    from .resultant import resultant as _res
-
-    sig = DegreeSignature(2, (2,))
-    for _ in range(trials):
-        f = _random_zz_form(rng, 2, 2)
-        try:
-            disc = disc_points([f], sig)
-        except ElimkitError:
-            continue
-        for i in (1, 2):
-            ji = jac_minor([f], sig, i)
-            e = [0] * 2
-            e[i - 1] = 1
-            xi = MultiPoly(rg.ZZ, 2, {tuple(e): 1})
-            num = _res([f, ji], DegreeSignature(2, (2, 1)))
-            den = _res([f, xi], DegreeSignature(2, (2, 1)))
-            if disc * den != num:
-                return "fail", {"f": sorted(f.terms.items()), "i": i}
-    return "pass", None
+@_each_draw(rg.ZZ, 2, (2,))
+def _check_disc_points_defeq(f):
+    sig, jsig = DegreeSignature(2, (2,)), DegreeSignature(2, (2, 1))
+    disc = disc_points([f], sig)
+    return all(
+        disc * resultant([f, MultiPoly.variable(rg.ZZ, 2, i)], jsig)
+        == resultant([f, jac_minor([f], sig, i)], jsig)
+        for i in (1, 2)
+    )
 
 
 def _check_disc_points_degree(rng, trials):
     sig = DegreeSignature(2, (3,))
     ext, fs = generic_system(sig)
-    disc = disc_points(fs, sig)
-    got = max(sum(e) for e in disc.value.terms)
+    got = max(sum(e) for e in disc_points(fs, sig).value.terms)
     want = disc_points_degree(sig, 1)
     if got != want or want != total_degree(sig):
-        return "fail", {"got": got, "want": want}
-    return "pass", None
+        return {"got": got, "want": want}
 
 
-def _check_disc_points_permutation(rng, trials):
+@_each_draw(rg.ZZ, 3, (2, 2))
+def _check_disc_points_permutation(f1, f2):
     sig = DegreeSignature(3, (2, 2))
-    for _ in range(trials):
-        f1 = _random_zz_form(rng, 3, 2)
-        f2 = _random_zz_form(rng, 3, 2)
-        try:
-            a = disc_points([f1, f2], sig)
-            b = disc_points([f2, f1], sig)
-        except ElimkitError:
-            continue
-        if a != b:
-            return "fail", {
-                "f1": sorted(f1.terms.items()),
-                "f2": sorted(f2.terms.items()),
-            }
-    return "pass", None
+    return disc_points([f1, f2], sig) == disc_points([f2, f1], sig)
 
 
 def _check_hyper_diagonal(rng, trials):
     n, d = 2, 3
     ext = rg.polyext(rg.ZZ, ("A1", "A2"))
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = d
-        mono = [0] * n
-        mono[i] = 1
-        terms[tuple(e)] = MultiPoly(rg.ZZ, n, {tuple(mono): 1})
-    f = MultiPoly(ext, n, terms)
-    disc = disc_hyper(f)
+    a1, a2 = (MultiPoly.variable(rg.ZZ, 2, i) for i in (1, 2))
+    x1, x2 = (MultiPoly.variable(ext, n, i) for i in (1, 2))
+    disc = disc_hyper(x1.pow(d).scale(a1).add(x2.pow(d).scale(a2)))
     k = n * (d - 1) ** (n - 1) - a_exponent(n, d)
-    expect = {((d - 1) ** (n - 1),) * n: d**k}
-    got = dict(disc.value.terms)
-    return ("pass", None) if got == expect else ("fail", {"got": sorted(got.items())})
+    if disc.value.terms != {((d - 1) ** (n - 1),) * n: d**k}:
+        return {"got": sorted(disc.value.terms.items())}
 
 
-def _check_hyper_scaling(rng, trials):
-    n, d = 2, 3
-    for _ in range(trials):
-        f = _random_zz_form(rng, n, d)
-        t = rng.choice([2, 3, -2])
-        lhs = disc_hyper(f.map_coefficients(lambda c: c * t))
-        rhs = disc_hyper(f)
-        if lhs.value != rhs.value * t ** (n * (d - 1) ** (n - 1)):
-            return "fail", {"f": sorted(f.terms.items()), "t": t}
-    return "pass", None
+@_each_draw(rg.ZZ, 2, (3, 0))
+def _check_hyper_scaling(f, t):
+    n, d = f.nvars, f.total_degree()
+    scale = t.constant_value() ** (n * (d - 1) ** (n - 1))
+    return disc_hyper(f.mul(t)).value == disc_hyper(f).value * scale
 
 
 def _check_hyper_quadric(rng, trials):
     ext, fs = generic_system(DegreeSignature(3, (2,)))
-    return (
-        ("pass", None)
-        if quadric_disc(fs[0]) == disc_hyper(fs[0])
-        else ("fail", {"case": "generic ternary quadric"})
-    )
+    if quadric_disc(fs[0]) != disc_hyper(fs[0]):
+        return {"case": "generic ternary quadric"}
 
 
 def _check_hyper_bar_product(rng, trials):
     ext, fs = generic_system(DegreeSignature(2, (3,)))
-    try:
-        disc_times_bar(fs[0])
-    except IdentityFailed:
-        return "fail", {"case": "generic binary cubic"}
-    return "pass", None
-
-
-def _check_mertens(which, sig, rng, trials):
-    degrees = sig
-    n = len(degrees)
-    check = mertens_first if which == 1 else mertens_second
-    for trial in range(trials):
-        fs = [_random_zz_form(rng, n, d, -5, 5) for d in degrees]
-        if not check(fs[:-1], fs[-1]):
-            return "fail", {
-                "trial": trial,
-                "witness": system_to_json(
-                    rg.ZZ, n, default_variables(n), fs
-                ),
-            }
-    return "pass", None
+    disc_times_bar(fs[0])
 
 
 def _check_mertens_112(rng, trials):
     ext, fs = generic_system(DegreeSignature(3, (1, 1, 2)))
-    if not mertens_first(fs[:2], fs[2]):
-        return "fail", {"formula": 1}
-    if not mertens_second(fs[:2], fs[2]):
-        return "fail", {"formula": 2}
-    return "pass", None
+    for which in (1, 2):
+        if not _product_formula(which)(*fs):
+            return {"formula": which}
 
 
 def _check_zariski_valuation(rng, trials):
     ext, fs = generic_system(DegreeSignature(2, (3,)))
     valuation, H, red = disc_valuation(fs[0], 1)
-    return ("pass", None) if valuation == 2 else ("fail", {"valuation": valuation})
+    if valuation != 2:
+        return {"valuation": valuation}
 
 
 def _check_zariski_lowest(rng, trials):
-    sig = DegreeSignature(2, (2, 1))
+    sig, mu = DegreeSignature(2, (2, 1)), (1, 0)
     ext, fs = generic_system(sig)
-    mu = (1, 0)
     H, H1 = zariski_lowest_part(fs, sig, mu)
-    w = zariski_weight_vector(sig, mu)
-    from .mpoly import weight_valuation as wv
-
+    got = weight_valuation(rg.RingElement(ext, H), zariski_weight_vector(sig, mu))
     want = math.prod(d - m for d, m in zip(sig.degrees, mu))
-    got = wv(rg.RingElement(ext, H), w)
-    return ("pass", None) if got == want else ("fail", {"weight": got, "want": want})
+    if got != want:
+        return {"weight": got, "want": want}
 
 
 def _check_poi(rng, trials):
-    sig = DegreeSignature(3, (2, 2))
-    skipped = 0
     for trial in range(trials):
-        fs = []
-        for d in sig.degrees:
-            terms = {
-                e: rng.randrange(5) for e in monomials_of_degree(3, d)
-            }
-            terms = {e: c for e, c in terms.items() if c}
-            if not terms:
-                terms = {(d, 0, 0): 1}
-            fs.append(MultiPoly(rg.Zmod(5), 3, terms))
+        fs = [_random_form(rng, rg.Zmod(5), 3, 2) for _ in range(2)]
         if trial % 5 == 3:
             fs[1] = fs[0]
-        verdict = poi_check(fs)
-        if verdict.status == "inconsistent":
-            return "fail", {
-                "trial": trial,
-                "witness": system_to_json(rg.Zmod(5), 3, default_variables(3), fs),
-            }, skipped
-        if verdict.status == "skipped":
-            skipped += 1
-    return "pass", None, skipped
+        status = poi_check(fs).status
+        if status == "inconsistent":
+            return _witness(trial, fs)
+        if status == "skipped":
+            rng.skip("draws skipped when the field search is inconclusive")
 
 
-def _check_char2_hyper(rng, trials):
-    ext, fs = generic_system(DegreeSignature(4, (2,)), base=rg.Zmod(2))
-    disc = disc_hyper(fs[0])
-    if poly_sqrt(disc.value) is None:
-        return "fail", {"case": "generic quadric over GF(2), 4 variables"}
-    return "pass", None
+def _square_over_gf2(sig, disc):
+    """The check that ``disc(fs, sig)`` of the generic system of ``sig``
+    over GF(2) is a perfect square."""
+
+    def check(rng, trials):
+        ext, fs = generic_system(sig, base=rg.Zmod(2))
+        if poly_sqrt(disc(fs, sig).value) is None:
+            return {"nvars": sig.nvars, "degrees": list(sig.degrees)}
+
+    return check
 
 
-def _check_char2_points(rng, trials):
-    ext, fs = generic_system(DegreeSignature(3, (2, 2)), base=rg.Zmod(2))
-    disc = disc_points(fs, DegreeSignature(3, (2, 2)))
-    if poly_sqrt(disc.value) is None:
-        return "fail", {"case": "generic (2,2) over GF(2)"}
-    return "pass", None
-
+_check_char2_hyper = _square_over_gf2(DegreeSignature(4, (2,)), lambda fs, sig: disc_hyper(fs[0]))
+_check_char2_points = _square_over_gf2(DegreeSignature(3, (2, 2)), disc_points)
 
 SUITES = {
     "euler": [
@@ -882,7 +796,7 @@ SUITES = {
         ("euler-bordered", "bordered Jacobian determinant expands through the minors", _check_euler_bordered),
     ],
     "dedekind-mertens": [
-        ("content-identity", "content of a product obeys the length-power identity", _check_dedekind_mertens),
+        ("content-identity", "content of a product obeys the length-power identity", _check_content_identity),
     ],
     "res-core": [
         ("pure-powers", "resultant of pure variable powers is 1", _check_res_normalization),
@@ -901,9 +815,9 @@ SUITES = {
         ("bar-product", "Res of the truncated partials factors as Disc(f) Disc(f-bar)", _check_hyper_bar_product),
     ],
     "mertens": [
-        ("first-2-1", "first product formula, degrees (2,1)", lambda r, t: _check_mertens(1, (2, 1), r, t)),
-        ("second-2-1", "second product formula, degrees (2,1)", lambda r, t: _check_mertens(2, (2, 1), r, t)),
-        ("first-2-2", "first product formula, degrees (2,2)", lambda r, t: _check_mertens(1, (2, 2), r, max(1, t // 2))),
+        ("first-2-1", "first product formula, degrees (2,1)", _each_draw(rg.ZZ, 2, (2, 1))(_product_formula(1))),
+        ("second-2-1", "second product formula, degrees (2,1)", _each_draw(rg.ZZ, 2, (2, 1))(_product_formula(2))),
+        ("first-2-2", "first product formula, degrees (2,2)", _each_draw(rg.ZZ, 2, (2, 2))(_product_formula(1))),
         ("generic-1-1-2", "both formulas on the generic system of degrees (1,1,2)", _check_mertens_112),
     ],
     "zariski": [
@@ -923,7 +837,7 @@ SUITES = {
 @main.command("verify")
 @click.argument("suite")
 @click.option("--seed", type=int, default=0)
-@click.option("--trials", type=int, default=10)
+@click.option("--trials", type=click.IntRange(min=1), default=10)
 @fmt_option
 @guarded
 def cmd_verify(suite, seed, trials, fmt):
@@ -938,33 +852,28 @@ def cmd_verify(suite, seed, trials, fmt):
         )
     started = time.monotonic()
     checks = []
-    failed = False
     for name in names:
-        for check_id, anchor, fn in SUITES[name]:
-            rng = _rng_for(seed, f"{name}/{check_id}")
-            result = fn(rng, trials)
-            if len(result) == 3:
-                status, witness, skipped = result
-            else:
-                status, witness = result
-                skipped = None
-            entry = {
-                "id": f"{name}/{check_id}",
-                "anchor": anchor,
-                "status": status,
-            }
+        for short_id, anchor, check in SUITES[name]:
+            check_id = f"{name}/{short_id}"
+            rng = _Draws(f"{seed}:{check_id}")
+            check_started = time.monotonic()
+            try:
+                witness = check(rng, trials)
+            except IdentityFailed as exc:
+                witness = {"message": str(exc)}
+            seconds = round(time.monotonic() - check_started, 3)
+            entry = {"id": check_id, "anchor": anchor, "status": "pass", "seconds": seconds}
             if witness is not None:
-                entry["witness"] = witness
+                entry.update(status="fail", witness=witness)
             checks.append(entry)
-            if status == "fail":
-                failed = True
-            if skipped:
+            if rng.skipped:
                 checks.append(
                     {
-                        "id": f"{name}/{check_id}/skipped",
-                        "anchor": "draws skipped when the field search is inconclusive",
+                        "id": f"{check_id}/skipped",
+                        "anchor": rng.why,
                         "status": "skip",
-                        "witness": {"skipped": skipped, "of": trials},
+                        "seconds": seconds,
+                        "witness": {"skipped": rng.skipped, "of": trials},
                     }
                 )
     report = {
@@ -975,7 +884,7 @@ def cmd_verify(suite, seed, trials, fmt):
         "checks": checks,
     }
     _print(report, fmt)
-    if failed:
+    if any(c["status"] == "fail" for c in checks):
         sys.exit(1)
 
 

@@ -9,13 +9,16 @@ from click.testing import CliRunner
 
 from elimkit import ring as rg
 from elimkit.cli import (
+    SUITES,
+    _Draws,
     main,
     parse_ring_flag,
     poly_to_json,
     system_from_json,
     system_to_json,
 )
-from elimkit.disc_points import base_change_K, delta_mod_delta
+from elimkit.disc_points import base_change_K, delta_mod_delta, disc_points
+from elimkit.errors import IdentityFailed, PerturbationDegenerate
 from elimkit.jacobian import jac_minor
 from elimkit.mpoly import DegreeSignature, MultiPoly
 
@@ -146,6 +149,46 @@ class TestParseFailures:
         payload = json.loads(result.stderr)
         assert payload["error"] == "SignatureMismatch"
         assert "form 1" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("polynomials", 0, "terms", 0), {"coeff": "1"}),
+            (("polynomials", 0, "terms", 0), {"exp": [1, 0]}),
+            (("polynomials", 0, "terms", 0, "exp"), ["a", 0]),
+            (("polynomials", 0, "terms", 0, "exp"), [1.5, -0.5]),
+            (("nvars",), "x"),
+            (("nvars",), 2.7),
+            (("ring",), {"kind": "modular", "modulus": "x"}),
+            (("polynomials", 0, "terms"), 5),
+            (("variables",), 5),
+            (("polynomials", 0, "degree"), "1"),
+            (("polynomials", 0, "degree"), True),
+        ],
+        ids=[
+            "term-without-exp",
+            "term-without-coeff",
+            "exponent-a",
+            "fractional-exponents",
+            "nvars-x",
+            "fractional-nvars",
+            "modulus-x",
+            "terms-not-a-list",
+            "variables-not-a-list",
+            "degree-as-text",
+            "degree-as-boolean",
+        ],
+    )
+    def test_malformed_document_is_a_parse_error(self, path, value):
+        doc = int_doc(2, [{(1, 0): 1}, {(0, 1): 1}])
+        *outer, last = path
+        node = doc
+        for key in outer:
+            node = node[key]
+        node[last] = value
+        result = run(["res"], doc)
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"] == "DocumentError"
 
     def test_mixed_degree_form_is_not_homogeneous(self):
         doc = int_doc(2, [{(2, 0): 1, (1, 0): 1}, {(0, 2): 1}])
@@ -427,6 +470,54 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         checks = {c["id"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
         assert checks["disc-hyper-props/bar-product"] == "fail"
+
+
+    def test_trials_below_one_is_a_usage_error(self):
+        assert run(["verify", "res-core", "--trials", "0"]).exit_code == 2
+
+    def test_every_entry_reports_its_seconds(self):
+        report = json.loads(run(["verify", "poi", "--seed", "3", "--trials", "5"]).output)
+        assert [c["status"] for c in report["checks"]] == ["pass", "skip"]
+        assert all(c["seconds"] >= 0 for c in report["checks"])
+
+    def test_identity_failures_inside_draws_are_failures(self, monkeypatch):
+        def broken(fs, sig):
+            raise IdentityFailed("the defining identity disagrees")
+
+        monkeypatch.setattr(sys.modules["elimkit.disc_points"], "_by_division", broken)
+        result = run(["verify", "disc-points-props", "--trials", "2"])
+        assert result.exit_code == 1
+        checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
+        for check_id in ("defining-division", "permutation"):
+            entry = checks[f"disc-points-props/{check_id}"]
+            assert entry["status"] == "fail"
+            assert entry["witness"]["message"] == "the defining identity disagrees"
+
+    def test_undecided_draws_are_skipped_for_any_check(self, monkeypatch):
+        def degenerate_on_integers(fs, sig):
+            if fs[0].ring == rg.ZZ:
+                raise PerturbationDegenerate("every sample point failed")
+            return disc_points(fs, sig)
+
+        monkeypatch.setattr("elimkit.cli.disc_points", degenerate_on_integers)
+        result = run(["verify", "disc-points-props", "--trials", "3"])
+        assert result.exit_code == 0
+        checks = json.loads(result.output)["checks"]
+        assert {c["id"]: c["witness"] for c in checks if c["status"] == "skip"} == {
+            "disc-points-props/defining-division/skipped": {"skipped": 3, "of": 3},
+            "disc-points-props/permutation/skipped": {"skipped": 3, "of": 3},
+        }
+
+    @pytest.mark.parametrize(
+        "check_id, check",
+        [
+            pytest.param(f"{suite}/{name}", check, id=f"{suite}/{name}")
+            for suite, entries in SUITES.items()
+            for name, anchor, check in entries
+        ],
+    )
+    def test_every_check_holds(self, check_id, check):
+        assert check(_Draws(f"0:{check_id}"), 2) is None
 
 
 class TestModuleEntryPoint:
