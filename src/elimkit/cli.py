@@ -58,7 +58,7 @@ from .errors import (
     SignatureMismatch,
     UnknownSuite,
 )
-from .jacobian import jac_full, jac_minor, jacobian_degree
+from .jacobian import hess_det, jac_full, jac_minor, jacobian_degree
 from .mertens import mertens_first, mertens_second
 from .mpoly import (
     HOMOGENEOUS_ANY,
@@ -232,9 +232,9 @@ def system_from_json(doc):
         nvars = _json_int(doc["nvars"], "nvars")
         if nvars < 1:
             raise DocumentError(f"nvars must be positive, got {nvars}")
-        variables = list(doc.get("variables", default_variables(nvars)))
-        if len(variables) != nvars:
-            raise DocumentError(f"{nvars} variable names expected, got {len(variables)}")
+        variables = doc.get("variables", default_variables(nvars))
+        if not isinstance(variables, list) or len(variables) != nvars:
+            raise DocumentError(f"a list of {nvars} variable names expected, got {variables!r}")
         polys = doc["polynomials"]
         if not isinstance(polys, list) or not polys:
             raise DocumentError("document needs a nonempty polynomial list")
@@ -763,6 +763,20 @@ def _check_zariski_lowest(rng, trials):
         return {"weight": got, "want": want}
 
 
+@_each_draw(rg.ZZ, 6, (1, 1, 1, 1, 1, 2))
+def _check_ring_change(*fs):
+    """A 5x5 Jacobian minor, a 6x6 bordered Jacobian and a 6x6 Hessian over
+    Z/4, Z/7, Z/12 are those over Z reduced."""
+    sig = DegreeSignature(6, (1,) * 5)
+    dets = lambda gs: (jac_minor(gs[:5], sig, 1), jac_full(gs[:5], sig, gs[5]), hess_det(gs[5]))
+    want = dets(fs)
+    return all(
+        got.eq(w.change_ring(ring))
+        for ring in map(rg.Zmod, (4, 7, 12))
+        for got, w in zip(dets([f.change_ring(ring) for f in fs]), want)
+    )
+
+
 def _check_poi(rng, trials):
     for trial in range(trials):
         fs = [_random_form(rng, rg.Zmod(5), 3, 2) for _ in range(2)]
@@ -823,6 +837,9 @@ SUITES = {
     "zariski": [
         ("valuation", "generic discriminant valuation matches (d-mu)(d-1-mu)^(n-1)", _check_zariski_valuation),
         ("lowest-part", "lowest isobaric part of the resultant divides by Res(g)", _check_zariski_lowest),
+    ],
+    "ring-change": [
+        ("determinants-mod-m", "determinants above 4x4 over Z/m are the values over Z reduced", _check_ring_change),
     ],
     "poi": [
         ("singular-sweep", "discriminant vanishing is consistent with singular points over GF(5)", _check_poi),

@@ -1,32 +1,29 @@
-"""Exact determinant engines.
+"""Exact determinants, every one taken over Z or Z[U].
 
-Three engines cover the shapes of matrix this package meets:
+A determinant is a polynomial with integer coefficients in its entries,
+so :func:`det_bareiss` computes it over Z or Z[U] and maps the value back
+into any accepted ring, Z/m with zero divisors included, with one of two
+elimination engines:
 
-* :func:`det_bareiss` — fraction-free elimination for matrices whose
-  entries live in an integral domain (integer, rational, or polynomial
-  payloads).  The exact divisions are guaranteed by Sylvester's identity
-  (Bareiss 1968) and checked: a nonzero remainder raises NotDivisible.
-  Over Z the same elimination runs on plain ints, with no payload
-  dispatch, which is where every numeric resultant over Z, Q and Z/m
-  ends up, and every sample of one over Z[s], Q[s] and Z/m[s].
-* :func:`det_packed` — division-free minor expansion over column subsets,
-  for MultiPoly entries over Z.  It runs on the entries' own packed
-  monomial keys and returns a MultiPoly on the same keys, with a one-pass
-  path for entries of one term.  This handles the sparse symbolic
-  Macaulay matrices (two or more parameters, generic systems) where
-  Bareiss would drown in intermediate swell.
-* :func:`det_poly_matrix` — small matrices of MultiPoly entries (Jacobian
-  work), cofactor expansion up to 4x4 and Bareiss beyond.
+* ``_bareiss_int`` — fraction-free elimination (Bareiss 1968) on plain
+  ints, its exact divisions checked; every numeric resultant over Z, Q
+  and Z/m ends up here, and every sample of one over Z[s], Q[s], Z/m[s].
+* :func:`det_packed` — division-free minor expansion over column subsets
+  on the packed monomial keys of sparse polynomial entries over Z (two
+  or more parameters, generic systems).
 
-:func:`strip_single_entries` peels off rows and columns containing one
-nonzero entry first; pure-power Macaulay matrices collapse to nothing.
+:func:`det_poly_matrix` (Jacobian work) keeps cofactor expansion up to
+4x4.  :func:`strip_single_entries` peels off rows and columns containing
+one nonzero entry first; pure-power Macaulay matrices collapse to nothing.
 """
 
 from __future__ import annotations
 
+import math
+
 from . import ring as rg
 from .errors import NotDivisible
-from .mpoly import MultiPoly, from_keys, shared_keys
+from .mpoly import MultiPoly, flatten_extension, from_keys, lift_poly, shared_keys, unflatten_extension
 
 __all__ = [
     "det_bareiss",
@@ -38,47 +35,49 @@ __all__ = [
 
 
 def det_bareiss(ring, rows):
-    """Determinant of a square payload matrix over an integral domain.
-
-    Each step pivots on the row with the fewest nonzeros from column k on.
-    Over Z the elimination runs on plain ints (:func:`_bareiss_int`).
-    """
-    n = len(rows)
-    if n == 0:
+    """Determinant of a square payload matrix over any accepted ring, taken
+    over Z or Z[U] by :func:`_det_over_z` and mapped back."""
+    if not rows:
         return rg.val_one(ring)
-    m = [list(r) for r in rows]
     if ring.kind == rg.INTEGERS:
-        return _bareiss_int(m)
-    sign = 1
-    prev = rg.val_one(ring)
-    for k in range(n - 1):
-        piv = None
-        best = None
-        for i in range(k, n):
-            if not rg.val_is_zero(ring, m[i][k]):
-                weight = sum(1 for j in range(k, n) if not rg.val_is_zero(ring, m[i][j]))
-                if best is None or weight < best:
-                    best, piv = weight, i
-        if piv is None:
-            return rg.val_zero(ring)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivval = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                num = rg.val_sub(
-                    ring,
-                    rg.val_mul(ring, pivval, row_i[j]),
-                    rg.val_mul(ring, mik, row_k[j]),
-                )
-                row_i[j] = rg.val_exact_divide(ring, num, prev)
-            row_i[k] = rg.val_zero(ring)
-        prev = pivval
-    d = m[n - 1][n - 1]
-    return rg.val_neg(ring, d) if sign < 0 else d
+        return _bareiss_int([list(r) for r in rows])
+    polys = ring.kind == rg.POLYEXT
+    return _det_over_z(ring.base if polys else ring, rows, polys)
+
+
+def _det_over_z(ring, rows, polys):
+    """Determinant of scalars of ``ring``, or with ``polys`` of MultiPoly
+    entries over ``ring`` (a tower flattened to one level of parameters
+    U).  Modular entries are lifted to [0, m), each row over Q is scaled
+    by the lcm of its denominators, and the value over Z or Z[U], by
+    ``_bareiss_int`` or :func:`det_packed`, is mapped back and divided
+    once by the product of the row scales."""
+    base = rg.scalar_base(ring)
+    tower = polys and ring.kind == rg.POLYEXT
+    scale = 1
+    lifted = []
+    for row in rows:
+        if tower:
+            row = [flatten_extension(a) for a in row]
+        if polys and base.kind == rg.MODULAR:
+            row = [lift_poly(a) for a in row]
+        if base.kind == rg.RATIONALS:
+            c = math.lcm(*(x.denominator for a in row for x in (a.terms.values() if polys else (a,))))
+            scale *= c
+            row = [a.map_coefficients(lambda x: (x * c).numerator, rg.ZZ) if polys else (a * c).numerator for a in row]
+        lifted.append(list(row))
+
+    def back(x):
+        x = rg.val_convert(rg.ZZ, base, x)
+        return x / scale if scale != 1 else x
+
+    if not polys:
+        return back(_bareiss_int(lifted))
+    sparse = [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in lifted]
+    value = det_packed(sparse, list(range(len(rows))), lifted[0][0].nvars)
+    if base != rg.ZZ:
+        value = value.map_coefficients(back, base)
+    return unflatten_extension(value, ring, rows[0][0].nvars) if tower else value
 
 
 def _bareiss_int(m):
@@ -290,42 +289,28 @@ def _permutation_sign(perm):
 
 
 def det_payload_auto(ring, rows):
-    """Determinant of a square payload matrix, choosing an engine.
-
-    Single-nonzero rows and columns are stripped first.  Over a one-level
-    polynomial extension of Z, a block of three or more rows goes through
-    :func:`det_packed`; everything else (integers, rationals, other
-    domains, and 2x2 blocks) uses Bareiss.  Median time per stripped
-    block, packed against Bareiss, on a 2-core x86_64 machine with Python
-    3.11 (in how many blocks packed was faster):
-
-    * random Z[s,t,u] matrices drawn as in the tests: size 2, 0.066 ms
-      against 0.060 ms (1 of 7); size 3, 0.098 against 0.171 ms (10/10);
-      size 4, 0.154 against 0.402 ms; size 5, 0.25 against 0.93 ms;
-      size 7, 0.87 against 4.8 ms;
-    * Z[s,t] Macaulay blocks of the family workload, seeds 1-2: size 2,
-      0.046 against 0.045 ms (2 of 8); size 3, 0.12 against 0.21 ms;
-      size 4, 0.14 against 0.41 ms; size 14, 32 against 435 ms.
+    """Determinant of a square payload matrix: single-nonzero rows and
+    columns are stripped and the rest goes to :func:`det_bareiss` (over
+    Z[U], to :func:`det_packed` at every block size).  Median time per
+    stripped block, packed against the payload elimination that Bareiss
+    ran on such blocks before, on a shared 2-core x86_64 machine with
+    Python 3.11: Z[s,t] blocks of the family workload (seeds 1-2) of size
+    2, 0.023 against 0.023 ms; size 3, 0.060 against 0.133 ms; size 14,
+    34 against 482 ms; random Z[s,t,u] matrices as drawn in the tests of
+    size 2, 0.027 against 0.031 ms; size 7, 0.64 against 3.7 ms.
     """
     n = len(rows)
-    sparse = []
-    for r in rows:
-        sparse.append({j: v for j, v in enumerate(r) if not rg.val_is_zero(ring, v)})
+    sparse = [{j: v for j, v in enumerate(r) if not rg.val_is_zero(ring, v)} for r in rows]
     factor, sign, rows_alive, cols_alive = strip_single_entries(sparse, n, ring)
     if not rows_alive:
         return rg.val_neg(ring, factor) if sign < 0 else factor
-    if ring.kind == rg.POLYEXT and ring.base == rg.ZZ and len(rows_alive) >= 3:
-        alive = set(cols_alive)
-        sub = [{j: v for j, v in sparse[i].items() if j in alive} for i in rows_alive]
-        core = det_packed(sub, cols_alive, len(ring.variables))
-    else:
-        core = det_bareiss(ring, [[rows[i][j] for j in cols_alive] for i in rows_alive])
-    out = rg.val_mul(ring, factor, core)
+    out = rg.val_mul(ring, factor, det_bareiss(ring, [[rows[i][j] for j in cols_alive] for i in rows_alive]))
     return rg.val_neg(ring, out) if sign < 0 else out
 
 
 def det_poly_matrix(mat):
-    """Determinant of a square matrix of MultiPoly entries."""
+    """Determinant of a square matrix of MultiPoly entries: up to 4x4 by
+    cofactor expansion, which never divides, else by :func:`_det_over_z`."""
     n = len(mat)
     if n == 0:
         raise ValueError("det_poly_matrix needs the ambient ring; use a 1x1 or larger matrix")
@@ -333,7 +318,9 @@ def det_poly_matrix(mat):
     ring, nv = proto.ring, proto.nvars
     if n <= 4:
         return _cofactor(mat, list(range(n)), list(range(n)), ring, nv)
-    return _bareiss_polys(mat, ring, nv)
+    if all(a.is_constant() for row in mat for a in row):
+        return MultiPoly.constant(ring, nv, det_bareiss(ring, [[a.constant_value() for a in row] for row in mat]))
+    return _det_over_z(ring, mat, True)
 
 
 def _cofactor(mat, rows, cols, ring, nv):
@@ -350,30 +337,3 @@ def _cofactor(mat, rows, cols, ring, nv):
         piece = entry.mul(minor)
         total = total.sub(piece) if k % 2 else total.add(piece)
     return total
-
-
-def _bareiss_polys(mat, ring, nv):
-    from .mpoly import poly_exact_div
-
-    n = len(mat)
-    m = [[mat[i][j] for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = MultiPoly.from_int(ring, nv, 1)
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if not m[i][k].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return MultiPoly.zero(ring, nv)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k].mul(m[i][j]).sub(m[i][k].mul(m[k][j]))
-                m[i][j] = poly_exact_div(num, prev)
-            m[i][k] = MultiPoly.zero(ring, nv)
-        prev = m[k][k]
-    return m[n - 1][n - 1].neg() if sign < 0 else m[n - 1][n - 1]

@@ -88,8 +88,10 @@ class RingDescriptor:
         if kind == RATIONALS:
             return QQ
         if kind == MODULAR:
-            return Zmod(int(doc["modulus"]))
+            return Zmod(doc["modulus"])
         if kind == POLYEXT:
+            if not isinstance(doc["variables"], list):
+                raise UnsupportedRing(f"extension variables must be a list, got {doc['variables']!r}")
             return polyext(RingDescriptor.from_json(doc["base"]), doc["variables"])
         raise UnsupportedRing(f"unknown ring kind {kind!r}")
 

@@ -198,6 +198,32 @@ class TestParseFailures:
         assert json.loads(result.stderr)["error"] == "NonHomogeneous"
 
 
+class TestFieldsGivenAsText:
+    """A modulus or a list of names given as text is refused, as other
+    non-integer fields are, not read through int() or letter by letter."""
+
+    def assert_refused(self, doc):
+        result = run(["res"], doc)
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"] == "DocumentError"
+
+    def test_modulus_as_text(self):
+        self.assert_refused(int_doc(2, [{(1, 0): 1}, {(0, 1): 1}], ring={"kind": "modular", "modulus": "7"}))
+
+    def test_extension_variables_as_text(self):
+        ring = {"kind": "polynomial-extension", "base": {"kind": "integers"}, "variables": "st"}
+        doc = int_doc(2, [{(1, 0): 1}, {(0, 1): 1}], ring=ring)
+        for poly in doc["polynomials"]:
+            for term in poly["terms"]:
+                term["coeff"] = {"terms": [{"coeff": term["coeff"], "exp": [0, 0]}]}
+        self.assert_refused(doc)
+
+    def test_document_variables_as_text(self):
+        doc = int_doc(2, [{(1, 0): 1}, {(0, 1): 1}])
+        doc["variables"] = "XY"
+        self.assert_refused(doc)
+
+
 class TestResCommand:
     def test_pure_powers(self):
         doc = int_doc(3, [{(2, 0, 0): 1}, {(0, 3, 0): 1}, {(0, 0, 1): 1}])
@@ -308,6 +334,23 @@ class TestJacobianCommand:
         res = run(["res"], got)
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["value"] == "0"
+
+    def test_six_variables_over_z12_is_the_integer_minor_reduced(self):
+        """Five linear forms in six variables: J_1 is -27 over Z, so 9 mod 12."""
+        rows = [
+            [6, 5, 4, 4, 6, 5],
+            [5, 6, 5, 5, 10, 6],
+            [7, 4, 9, 5, 5, 4],
+            [8, 3, 4, 8, 10, 6],
+            [10, 7, 11, 2, 1, 4],
+        ]
+        polys = [{tuple(int(k == j) for k in range(6)): c for j, c in enumerate(r)} for r in rows]
+        fs = [MultiPoly(rg.ZZ, 6, p) for p in polys]
+        (want,) = jac_minor(fs, DegreeSignature(6, (1,) * 5), 1).terms.values()
+        result = run(["jacobian", "--index", "1"], int_doc(6, polys, ring={"kind": "modular", "modulus": 12}))
+        assert result.exit_code == 0, result.output
+        (term,) = json.loads(result.output)["polynomials"][0]["terms"]
+        assert want == -27 and term == {"coeff": str(want % 12), "exp": [0] * 6}
 
 
 class TestDeltaModCommand:

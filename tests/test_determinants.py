@@ -1,5 +1,6 @@
 """Determinant engines: Bareiss, the packed division-free DP, dispatch."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -236,3 +237,104 @@ def test_int_kernel_matches_rational_bareiss():
             assert type(got) is int and got == want
             nonzero += got != 0
     assert nonzero > 20
+
+
+def leibniz(ring, rows):
+    """sum over permutations p of sign(p) * prod_i rows[i][p(i)], with the
+    ring's own + and *: the definition, which divides nowhere."""
+    total = rg.val_zero(ring)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = rg.val_from_int(ring, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = rg.val_mul(ring, term, rows[i][j])
+        total = rg.val_add(ring, total, term)
+    return total
+
+
+STU = rg.polyext(rg.ZZ, ("s", "t", "u"))
+LEIBNIZ_RINGS = [
+    rg.ZZ,
+    rg.QQ,
+    rg.Zmod(4),
+    rg.Zmod(12),
+    rg.polyext(rg.Zmod(12), ("s",)),
+    STU,
+    rg.polyext(rg.polyext(rg.QQ, ("s",)), ("t",)),
+]
+
+
+def payload_of(ring, p, denominator):
+    """random_entry's polynomial p over Z in s, t, u as a payload of ``ring``:
+    scalars take its value at (3, -1, 5), Z/12[s] and Q[s][t] drop u (and t),
+    and rational coefficients are divided by ``denominator``."""
+    if ring == STU:
+        return p
+    if ring.kind != rg.POLYEXT:
+        value = p.evaluate([3, -1, 5])
+        return Fraction(value, denominator) if ring == rg.QQ else rg.val_convert(rg.ZZ, ring, value)
+    if ring.base.kind != rg.POLYEXT:
+        return MultiPoly.from_terms(ring.base, 1, [((e[0],), c % 12) for e, c in p.terms.items()])
+    inner = ring.base
+    by_t = {}
+    for e, c in p.terms.items():
+        by_t.setdefault((e[1],), []).append(((e[0],), Fraction(c, denominator)))
+    return MultiPoly.from_terms(
+        inner, 1, [(t, MultiPoly.from_terms(inner.base, 1, items)) for t, items in by_t.items()]
+    )
+
+
+@pytest.mark.parametrize("ring", LEIBNIZ_RINGS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_engines_against_leibniz(ring, n):
+    """det_bareiss, det_payload_auto and (over Z[s,t,u]) det_packed against
+    the Leibniz formula, on random_entry's one-term, many-term and zero
+    entries (exponents of 40 among them), and with a last row that is a
+    multiple of the first, so that the determinant cancels to zero."""
+    rnd = random.Random(1000 * n + LEIBNIZ_RINGS.index(ring))
+    kinds = [("one", "zero"), ("many", "zero", "zero"), ("one", "many", "zero")]
+    nonzero = 0
+    for trial in range(8):
+        mix = kinds[trial % 3]
+        rows = [
+            [payload_of(ring, random_entry(rnd, rnd.choice(mix)), rnd.choice((1, 2, 3))) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if trial >= 6 and n >= 2:
+            factor = payload_of(ring, random_entry(rnd, "many"), 5)
+            rows[-1] = [rg.val_mul(ring, factor, x) for x in rows[0]]
+        want = leibniz(ring, rows)
+        nonzero += not rg.val_is_zero(ring, want)
+        assert rg.val_eq(ring, det_bareiss(ring, rows), want)
+        assert rg.val_eq(ring, det_payload_auto(ring, rows), want)
+        if ring == STU:
+            sparse = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+            assert det_packed(sparse, list(range(n)), 3).eq(want)
+    # over Z/4 and Z/12 these sparse draws vanish more often than not
+    assert nonzero >= 2 or ring.kind == rg.MODULAR
+
+
+@pytest.mark.parametrize("ring", [rg.ZZ, rg.Zmod(12), rg.polyext(rg.Zmod(12), ("s",)), LEIBNIZ_RINGS[-1]], ids=repr)
+@pytest.mark.parametrize("nvars", [0, 2])
+def test_det_poly_matrix_above_cofactor_size_against_leibniz(ring, nvars):
+    """5x5 matrices of polynomials in X1, X2 (or in no variable) whose
+    coefficients are random_entry payloads, against the Leibniz formula
+    over the ring extended by X1, X2."""
+    rnd = random.Random(50 + nvars)
+    monomials = monomials_of_degree(nvars, 1) + monomials_of_degree(nvars, 0)
+    for _ in range(2):
+        mat = [
+            [
+                MultiPoly.from_terms(
+                    ring, nvars, [(e, payload_of(ring, random_entry(rnd, rnd.choice(("one", "zero"))), 2)) for e in monomials]
+                )
+                for _ in range(5)
+            ]
+            for _ in range(5)
+        ]
+        got = det_poly_matrix(mat)
+        if nvars == 0:
+            want = leibniz(ring, [[a.constant_value() for a in row] for row in mat])
+            assert rg.val_eq(ring, got.constant_value(), want)
+        else:
+            assert got.eq(leibniz(rg.polyext(ring, ("Y1", "Y2")), mat))

@@ -403,6 +403,32 @@ class TestPackedKeys:
             "[((1, 1), -1)]",
         ]
 
+    def test_long_inexact_division_stops_at_the_floor(self):
+        """X1^(2^40) / (X1 + X2) would take 2^40 steps to reach a leading
+        monomial X1 does not divide.  As the coefficient of min(b) = X2 is a
+        unit, even over Z/12, no quotient term lies below min(a) / min(b) =
+        X1^(2^40) / X2, so the division stops within a second; one of 1000
+        steps still ends where leading-term division stops, at the witness
+        X2^1000."""
+        code = (
+            "import time\n"
+            "from elimkit import ring as rg\n"
+            "from elimkit.errors import NotDivisible\n"
+            "from elimkit.mpoly import MultiPoly, poly_exact_div\n"
+            "for ring in (rg.ZZ, rg.QQ, rg.Zmod(7), rg.Zmod(12), rg.polyext(rg.ZZ, ('s',))):\n"
+            "    one = rg.val_one(ring)\n"
+            "    b = MultiPoly(ring, 2, {(1, 0): one, (0, 1): one})\n"
+            "    for k in (2 ** 40, 1000):\n"
+            "        t0 = time.perf_counter()\n"
+            "        try:\n"
+            "            poly_exact_div(MultiPoly(ring, 2, {(k, 0): one}), b)\n"
+            "        except NotDivisible as exc:\n"
+            "            print(k, time.perf_counter() - t0 < 1, k < 2 ** 40 and exc.witness.eq(MultiPoly(ring, 2, {(0, k): one})))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:10] == [f"{2 ** 40} True False", "1000 True True"] * 5
+
 
 class TestGenericSystems:
     def test_names_and_layout(self):
