@@ -568,7 +568,7 @@ def cmd_poi_check(document, fmt, max_extension):
 # Verification suites
 #
 # A check is check(rng, trials) -> witness dict, or None when it holds.
-# cmd_verify turns an IdentityFailed that a check raises into a failure.
+# cmd_verify turns an ElimkitError that a check raises into a failure.
 # ---------------------------------------------------------------------------
 
 
@@ -876,8 +876,8 @@ def cmd_verify(suite, seed, trials, fmt):
             check_started = time.monotonic()
             try:
                 witness = check(rng, trials)
-            except IdentityFailed as exc:
-                witness = {"message": str(exc)}
+            except ElimkitError as exc:
+                witness = {"error": type(exc).__name__, "message": str(exc)}
             seconds = round(time.monotonic() - check_started, 3)
             entry = {"id": check_id, "anchor": anchor, "status": "pass", "seconds": seconds}
             if witness is not None:

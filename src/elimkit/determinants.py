@@ -5,12 +5,37 @@ so :func:`det_bareiss` computes it over Z or Z[U] and maps the value back
 into any accepted ring, Z/m with zero divisors included, with one of two
 elimination engines:
 
-* ``_bareiss_int`` — fraction-free elimination (Bareiss 1968) on plain
-  ints, its exact divisions checked; every numeric resultant over Z, Q
-  and Z/m ends up here, and every sample of one over Z[s], Q[s], Z/m[s].
+* ``_bareiss_int`` — sparse fraction-free elimination on plain ints;
+  every numeric resultant over Z, Q and Z/m ends up here, and every
+  sample of one over Z[s], Q[s], Z/m[s].
 * :func:`det_packed` — division-free minor expansion over column subsets
   on the packed monomial keys of sparse polynomial entries over Z (two
   or more parameters, generic systems).
+
+``_bareiss_int`` is Bareiss's elimination (Math. Comp. 22, 1968) with
+full pivoting.  Step k takes as pivot column the live column with the
+fewest nonzero entries, and as pivot row the row with the fewest nonzero
+entries among those that hold one in that column, which limits fill-in
+as Markowitz's rule does (Management Science 3, 1957); the determinant
+is the last pivot P_n times the signs of the row and column orders.  At
+step k Bareiss replaces every entry v_j of a row with v_c in the pivot
+column by (P_k v_j - v_c r_j) / P_{k-1}, r being the pivot row and
+P_0 = 1.  A row with v_c = 0 is only scaled, to P_k v_j / P_{k-1}, and
+these scalings telescope: a row last divided by P_s and untouched since
+holds P_s / P_{k-1} times its entries at step k - 1.  So each row keeps
+P_s and is not touched while it is zero in the pivot column; the first
+step k that finds v_c != 0 computes from the entries v_j it holds
+
+    (P_k v_j - v_c r_j) / P_s    on the columns where r is nonzero,
+    P_k v_j / P_s                 on the row's other entries,
+
+after bringing the pivot row, with its own P_s, to step k - 1 as
+P_{k-1} r_j / P_s.
+Each quotient is an entry that plain Bareiss computes on the matrix with
+its rows and columns in pivot order, a minor of that matrix by
+Sylvester's identity, so every division is exact over Z; a remainder
+still raises NotDivisible.  On a banded Macaulay matrix most rows are
+zero in most pivot columns, so most of the rescaling is never done.
 
 :func:`det_poly_matrix` (Jacobian work) keeps cofactor expansion up to
 4x4.  :func:`strip_single_entries` peels off rows and columns containing
@@ -81,54 +106,79 @@ def _det_over_z(ring, rows, polys):
 
 
 def _bareiss_int(m):
-    """det_bareiss on a square list of int rows, eliminated in place.
+    """Determinant of a square list of int rows, eliminated in place by the
+    sparse fraction-free elimination of the module docstring.
 
-    Where the pivot row holds a zero the update of an entry x is
-    pivval * x / prev, so a zero stays zero and only nonzero entries are
-    computed there; a row whose entry in the pivot column is zero is only
-    scaled that way.  This is what keeps banded Macaulay matrices cheap.
+    ``nz[i]`` holds the live columns where row i is nonzero and
+    ``holders[j]`` the live rows that are nonzero in column j, both exact
+    through fill-in and cancellation; ``scale[i]`` is P_s, the pivot row
+    i was last divided by; ``perm[r] = c`` records each pivot, and its
+    sign is the sign of the row and column orders.  An entry outside
+    ``nz[i]`` is zero, so a fill-in entry takes the update formula with
+    v_j = 0 and is never zero.
     """
     n = len(m)
-    sign = 1
+    nz = [{j for j, x in enumerate(row) if x} for row in m]
+    holders = [set() for _ in m]
+    for i, cols in enumerate(nz):
+        for j in cols:
+            holders[j].add(i)
+    live = list(range(n))
+    scale = [1] * n
+    perm = [0] * n
     prev = 1
-    for k in range(n - 1):
-        piv = None
-        best = None
-        for i in range(k, n):
-            if m[i][k]:
-                weight = sum(1 for x in m[i][k:] if x)
-                if best is None or weight < best:
-                    best, piv = weight, i
-        if piv is None:
+    count = lambda j: len(holders[j])
+    size = lambda i: len(nz[i])
+    for _ in range(n):
+        c = min(live, key=count)
+        col = holders[c]
+        if not col:
             return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivval = row_k[k]
-        rest = range(k + 1, n)
-        live = [j for j in rest if row_k[j]]
-        idle = [j for j in rest if not row_k[j]]
-        for i in rest:
-            row_i = m[i]
-            mik = row_i[k]
-            for j in idle if mik else rest:
-                x = row_i[j]
-                if x:
-                    q, r = divmod(pivval * x, prev)
-                    if r:
-                        raise NotDivisible(f"Bareiss step {k}: entry not a multiple of {prev}", witness=r)
-                    row_i[j] = q
-            if mik:
-                for j in live:
-                    q, r = divmod(pivval * row_i[j] - mik * row_k[j], prev)
-                    if r:
-                        raise NotDivisible(f"Bareiss step {k}: entry not a multiple of {prev}", witness=r)
-                    row_i[j] = q
-                row_i[k] = 0
-        prev = pivval
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+        r = min(col, key=size)
+        col.discard(r)
+        live.remove(c)
+        perm[r] = c
+        prow, pnz, s = m[r], nz[r], scale[r]
+        if s != prev:
+            for j in pnz:
+                q, rem = divmod(prev * prow[j], s)
+                if rem:
+                    raise _inexact(s, rem)
+                prow[j] = q
+        pnz.discard(c)
+        for j in pnz:
+            holders[j].discard(r)
+        piv = prow[c]
+        for i in col:
+            row, rnz, s = m[i], nz[i], scale[i]
+            vc = row[c]
+            rnz.discard(c)
+            fill = pnz - rnz
+            if not rnz <= pnz:
+                for j in rnz - pnz:
+                    q, rem = divmod(piv * row[j], s)
+                    if rem:
+                        raise _inexact(s, rem)
+                    row[j] = q
+            for j in pnz:
+                q, rem = divmod(piv * row[j] - vc * prow[j], s)
+                if rem:
+                    raise _inexact(s, rem)
+                row[j] = q
+                if not q:
+                    rnz.discard(j)
+                    holders[j].discard(i)
+            if fill:
+                rnz |= fill
+                for j in fill:
+                    holders[j].add(i)
+            scale[i] = piv
+        prev = piv
+    return prev if _permutation_sign(perm) > 0 else -prev
+
+
+def _inexact(divisor, remainder):
+    return NotDivisible(f"Bareiss: entry not a multiple of {divisor}", witness=remainder)
 
 
 def strip_single_entries(sparse_rows, ncols, ring):
@@ -291,14 +341,7 @@ def _permutation_sign(perm):
 def det_payload_auto(ring, rows):
     """Determinant of a square payload matrix: single-nonzero rows and
     columns are stripped and the rest goes to :func:`det_bareiss` (over
-    Z[U], to :func:`det_packed` at every block size).  Median time per
-    stripped block, packed against the payload elimination that Bareiss
-    ran on such blocks before, on a shared 2-core x86_64 machine with
-    Python 3.11: Z[s,t] blocks of the family workload (seeds 1-2) of size
-    2, 0.023 against 0.023 ms; size 3, 0.060 against 0.133 ms; size 14,
-    34 against 482 ms; random Z[s,t,u] matrices as drawn in the tests of
-    size 2, 0.027 against 0.031 ms; size 7, 0.64 against 3.7 ms.
-    """
+    Z[U], to :func:`det_packed` at every block size)."""
     n = len(rows)
     sparse = [{j: v for j, v in enumerate(r) if not rg.val_is_zero(ring, v)} for r in rows]
     factor, sign, rows_alive, cols_alive = strip_single_entries(sparse, n, ring)

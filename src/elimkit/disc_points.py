@@ -11,17 +11,23 @@ a second index qualifies too, its quotient must agree with the first,
 else IdentityFailed.  Res(fs, X_i) is computed as the resultant of the
 forms restricted to X_i = 0, with the sign (-1)^{(n-i) d_1...d_{n-1}}.
 
-When no index qualifies, the forms (lifted to Z when modular) are
-perturbed to f_i + t * X_i^{d_i}.  Disc is then a polynomial in t of
-degree at most total_degree(sig), and the division works at every t
-where Res(f_t, X_n), monic in t, does not vanish; Disc at t = 0 is
-interpolated from integer samples.
+Over Z/m the forms are lifted to Z first and the value over Z is reduced
+back, as for the resultant: that is how the value over Z/m is defined,
+and over Z some Res(fs, X_i) is almost always nonzero, whereas over Z/12
+it is a unit only about a third of the time.  The trace reports the
+route and index of the computation over Z.
+
+When no index qualifies, the forms (lifted to Z when their scalars are
+modular, as over Z/m[s]) are perturbed to f_i + t * X_i^{d_i}.  Disc is
+then a polynomial in t of degree at most total_degree(sig), and the
+division works at every t where Res(f_t, X_n), monic in t, does not
+vanish; Disc at t = 0 is interpolated from integer samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ring as rg
 from .determinants import det_bareiss
@@ -38,6 +44,7 @@ from .mpoly import (
     DegreeSignature,
     MultiPoly,
     form_degrees,
+    lift_poly,
     substitute,
     substitution_degree,
     via_lift,
@@ -71,9 +78,20 @@ def disc_points(fs, sig):
 
 
 def disc_points_traced(fs, sig):
-    """Discriminant plus a trace of how it was obtained."""
+    """Discriminant plus a trace of how it was obtained; over Z/m, the
+    strategy and index of the computation over Z."""
     fs = list(fs)
     _validate_system(fs, sig)
+    ring = fs[0].ring
+    if ring.kind == rg.MODULAR:
+        over_z = _traced([lift_poly(f) for f in fs], sig)
+        value = rg.RingElement(ring, rg.val_convert(rg.ZZ, ring, over_z.value.value))
+        return replace(over_z, fs=tuple(fs), value=value)
+    return _traced(fs, sig)
+
+
+def _traced(fs, sig):
+    """disc_points_traced of validated forms, computed in their own ring."""
     ring = fs[0].ring
     if all(d == 1 for d in sig.degrees):
         return PointDiscInstance(tuple(fs), sig, rg.element(ring, 1), "unit-degrees")

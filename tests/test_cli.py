@@ -18,7 +18,7 @@ from elimkit.cli import (
     system_to_json,
 )
 from elimkit.disc_points import base_change_K, delta_mod_delta, disc_points
-from elimkit.errors import IdentityFailed, PerturbationDegenerate
+from elimkit.errors import IdentityFailed, NotDivisible, PerturbationDegenerate
 from elimkit.jacobian import jac_minor
 from elimkit.mpoly import DegreeSignature, MultiPoly
 
@@ -535,6 +535,22 @@ class TestVerifyCommand:
             entry = checks[f"disc-points-props/{check_id}"]
             assert entry["status"] == "fail"
             assert entry["witness"]["message"] == "the defining identity disagrees"
+
+    @pytest.mark.parametrize("suite", ["ring-change", "res-core"])
+    def test_other_errors_inside_checks_are_failures(self, monkeypatch, suite):
+        def broken(m):
+            raise NotDivisible("Bareiss: entry not a multiple of 7", witness=3)
+
+        monkeypatch.setattr(sys.modules["elimkit.determinants"], "_bareiss_int", broken)
+        result = run(["verify", suite, "--trials", "2"])
+        assert result.exit_code == 1
+        checks = json.loads(result.output)["checks"]
+        listed = [c["id"] for c in checks if c["status"] != "skip"]
+        assert listed == [f"{suite}/{name}" for name, _, _ in SUITES[suite]]
+        failed = [c["witness"] for c in checks if c["status"] == "fail"]
+        assert failed
+        witness = {"error": "NotDivisible", "message": "Bareiss: entry not a multiple of 7"}
+        assert all(w == witness for w in failed)
 
     def test_undecided_draws_are_skipped_for_any_check(self, monkeypatch):
         def degenerate_on_integers(fs, sig):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import elimkit.ring as rg
 from elimkit.determinants import (
@@ -237,6 +238,108 @@ def test_int_kernel_matches_rational_bareiss():
             assert type(got) is int and got == want
             nonzero += got != 0
     assert nonzero > 20
+
+
+def fraction_det(rows):
+    """Gaussian elimination over Q on Fraction entries, first nonzero entry
+    of each column as pivot: a reference that shares nothing with the
+    integer kernel."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        pivot = a[k][k]
+        det *= pivot
+        support = [j for j in range(k + 1, n) if a[k][j]]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / pivot
+                for j in support:
+                    a[i][j] -= f * a[k][j]
+    return det
+
+
+def macaulay_pair(rnd, degrees, drop_first_power=False):
+    """The Macaulay numerator and denominator, as int rows, of a system of
+    random integer forms, a third of their coefficients zero, each f_k with
+    its X_k^d_k term; in three or more variables, f_1 without its X1^d1
+    term makes det M' = 0."""
+    sig = DegreeSignature(len(degrees), degrees)
+    fs = []
+    for k, d in enumerate(degrees):
+        monomials = monomials_of_degree(sig.nvars, d)
+        terms = {e: rnd.choice((0, rnd.randint(-9, 9), rnd.randint(1, 9))) for e in monomials}
+        power = tuple(d if v == k else 0 for v in range(sig.nvars))
+        terms[power] = 0 if drop_first_power and k == 0 else rnd.choice((-2, -1, 1, 3))
+        fs.append(MultiPoly(rg.ZZ, sig.nvars, {e: c for e, c in terms.items() if c}))
+    ms = build_macaulay(fs, sig)
+    return [[[ms.rows[i][j] for j in positions] for i in positions] for positions in (range(len(ms.rows)), ms.reduced)]
+
+
+def shuffled_block_diagonal(rnd, a, b):
+    """diag(a, b) with rows and columns shuffled: while one block is being
+    eliminated, every row of the other stays idle."""
+    n = len(a) + len(b)
+    rows = [r + [0] * len(b) for r in a] + [[0] * len(a) + r for r in b]
+    cols = list(range(n))
+    rnd.shuffle(cols)
+    rnd.shuffle(rows)
+    return [[r[j] for j in cols] for r in rows]
+
+
+@pytest.mark.parametrize("degrees", [(3, 3), (2, 2, 3), (2, 2, 2, 2)], ids=str)
+def test_int_kernel_against_fraction_elimination(degrees):
+    """det_bareiss over Z against fraction_det on Macaulay numerators and
+    denominators, a denominator that vanishes, a numerator with a zero
+    column, and block-diagonal matrices whose rows stay idle for many
+    steps."""
+    rnd = random.Random(sum(degrees))
+    drawn, zero = [], []
+    for _ in range(2):
+        num, den = macaulay_pair(rnd, degrees)
+        drawn += [num, den, shuffled_block_diagonal(rnd, num, den)]
+        zero_column = [list(r) for r in num]
+        for r in zero_column:
+            r[len(r) // 2] = 0
+        zero.append(zero_column)
+    if len(degrees) > 2:
+        # det M = Res det M', so the numerator vanishes with the denominator
+        zero += macaulay_pair(rnd, degrees, drop_first_power=True)
+    values = []
+    for rows in drawn + zero:
+        got = det_bareiss(rg.ZZ, rows)
+        assert type(got) is int and got == fraction_det(rows)
+        values.append(got)
+    assert not any(values[len(drawn) :])
+    assert sum(v != 0 for v in values[: len(drawn)]) >= 4
+
+
+def sign_of(perm):
+    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+
+
+@st.composite
+def permuted_matrix(draw):
+    n = draw(st.integers(1, 7))
+    entries = st.one_of(st.just(0), st.integers(-20, 20))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@given(permuted_matrix())
+@settings(max_examples=150, deadline=None)
+def test_int_kernel_sign_under_row_and_column_permutations(case):
+    """det(P M Q) = sgn P sgn Q det M."""
+    rows, p, q = case
+    permuted = [[rows[p[i]][q[j]] for j in range(len(q))] for i in range(len(p))]
+    want = sign_of(p) * sign_of(q) * det_bareiss(rg.ZZ, rows)
+    assert det_bareiss(rg.ZZ, permuted) == want
 
 
 def leibniz(ring, rows):

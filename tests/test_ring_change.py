@@ -12,12 +12,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import elimkit.ring as rg
-from elimkit.disc_hyper import quadric_disc
+from elimkit.disc_hyper import disc_hyper, quadric_disc
 from elimkit.disc_points import disc_points, linear_forms_disc
 from elimkit.errors import PerturbationDegenerate
 from elimkit.jacobian import hess_det, jac_full, jac_minor
 from elimkit.mertens import lemmaA_product
-from elimkit.mpoly import DegreeSignature, MultiPoly, monomials_of_degree
+from elimkit.mpoly import DegreeSignature, MultiPoly, evaluate_coefficients, lift_poly, monomials_of_degree
+from elimkit.resultant import resultant
 
 Z12 = rg.Zmod(12)
 MODULI = (4, 7, 12)
@@ -95,6 +96,50 @@ def test_disc_points_through_five_by_five_minors_over_z12():
     for _ in range(8):
         fs = [random_form(rnd, 6, d) for d in sig.degrees]
         assert disc_points(down(fs, Z12), sig) == reduced(disc_points(fs, sig), Z12)
+
+
+# -- the resultant and the hypersurface discriminant ------------------------------
+
+SIG_222 = DegreeSignature(3, (2, 2, 2))
+
+
+def test_resultant_and_disc_hyper_over_z_mod_m_are_the_lifts_reduced():
+    """Over Z/4, Z/7 and Z/12 each value is the value over Z of the
+    canonical lifts of the reduced forms, reduced."""
+    rnd = random.Random(24)
+    cases = [
+        (lambda fs: resultant(fs, SIG_222), 3, (2, 2, 2)),
+        (lambda fs: resultant(fs, DegreeSignature(2, (3, 2))), 2, (3, 2)),
+        (lambda fs: disc_hyper(fs[0]), 2, (4,)),
+        (lambda fs: disc_hyper(fs[0]), 3, (3,)),
+    ]
+    for k, (fn, n, degrees) in enumerate(cases):
+        for _ in range(3):
+            fs = [random_form(rnd, n, d) for d in degrees]
+            for m in MODULI:
+                ring = rg.Zmod(m)
+                reduced_fs = down(fs, ring)
+                want = reduced(fn([lift_poly(f) for f in reduced_fs]), ring)
+                assert fn(reduced_fs) == want, (k, m)
+
+
+def test_resultant_over_z_s_specializes_at_integers():
+    """Res over Z[s] at s = -2, 0, 3 is Res of the forms specialized there,
+    also for f_1 without X1^2, where det M'(s) vanishes identically."""
+    zs = rg.polyext(rg.ZZ, ("s",))
+    s = MultiPoly.variable(rg.ZZ, 1, 1)
+    rnd = random.Random(25)
+    for degenerate in (False, True):
+        fs = []
+        for _ in SIG_222.degrees:
+            f, g = random_form(rnd, 3, 2), random_form(rnd, 3, 2)
+            fs.append(f.change_ring(zs).add(g.change_ring(zs).scale(s)))
+        if degenerate:
+            fs[0] = MultiPoly(zs, 3, {e: c for e, c in fs[0].terms.items() if e != (2, 0, 0)})
+        value = resultant(fs, SIG_222).value
+        for x in (-2, 0, 3):
+            special = [evaluate_coefficients(f, [x]) for f in fs]
+            assert value.evaluate([x]) == resultant(special, SIG_222).value
 
 
 # -- every determinant-built value, on forms drawn over Z --------------------------
