@@ -2,12 +2,15 @@
 
 A determinant is a polynomial with integer coefficients in its entries,
 so :func:`det_bareiss` computes it over Z or Z[U] and maps the value back
-into any accepted ring, Z/m with zero divisors included, with one of two
-elimination engines:
+into any accepted ring, Z/m with zero divisors included.  A matrix is a
+list of sparse rows, dicts {column: nonzero payload} over columns
+0, ..., n - 1; a row given as a list of payloads is read into that form
+once, at the entry.  Below the entry two elimination engines see only
+sparse rows:
 
-* ``_bareiss_int`` — sparse fraction-free elimination on plain ints;
-  every numeric resultant over Z, Q and Z/m ends up here, and every
-  sample of one over Z[s], Q[s], Z/m[s].
+* ``_bareiss_int`` — sparse fraction-free elimination of dict rows of
+  ints, in place; every numeric resultant over Z, Q and Z/m ends up here,
+  and every sample of one over Z[s], Q[s], Z/m[s].
 * :func:`det_packed` — division-free minor expansion over column subsets
   on the packed monomial keys of sparse polynomial entries over Z (two
   or more parameters, generic systems).
@@ -35,11 +38,16 @@ Each quotient is an entry that plain Bareiss computes on the matrix with
 its rows and columns in pivot order, a minor of that matrix by
 Sylvester's identity, so every division is exact over Z; a remainder
 still raises NotDivisible.  On a banded Macaulay matrix most rows are
-zero in most pivot columns, so most of the rescaling is never done.
+zero in most pivot columns, so most of the rescaling is never done, and
+a column with one nonzero entry is always taken first, at no cost to
+the other rows.
 
+:func:`det_payload_auto` peels rows and columns with one nonzero entry
+off (:func:`strip_single_entries`) only in front of :func:`det_packed`,
+whose state space grows exponentially with the size of what is left;
+pure-power Macaulay matrices collapse to nothing.
 :func:`det_poly_matrix` (Jacobian work) keeps cofactor expansion up to
-4x4.  :func:`strip_single_entries` peels off rows and columns containing
-one nonzero entry first; pure-power Macaulay matrices collapse to nothing.
+4x4.
 """
 
 from __future__ import annotations
@@ -61,36 +69,62 @@ __all__ = [
 
 def det_bareiss(ring, rows):
     """Determinant of a square payload matrix over any accepted ring, taken
-    over Z or Z[U] by :func:`_det_over_z` and mapped back."""
+    over Z or Z[U] by :func:`_det_over_z` and mapped back.
+
+    Each row is a list of payloads or a dict {column: nonzero payload}
+    over columns 0, ..., n - 1.  List rows are read into dicts here;
+    dict rows are handed on as they are, and over Z and Z/m the kernel
+    eliminates them in place, so a caller that needs them again passes
+    copies.
+    """
     if not rows:
         return rg.val_one(ring)
+    rows = _sparse_rows(ring, rows)
     if ring.kind == rg.INTEGERS:
-        return _bareiss_int([list(r) for r in rows])
+        return _bareiss_int(rows)
+    if not all(rows):
+        return rg.val_zero(ring)
     polys = ring.kind == rg.POLYEXT
     return _det_over_z(ring.base if polys else ring, rows, polys)
 
 
+def _sparse_rows(ring, rows):
+    """``rows`` with every list row read into a dict of its nonzero entries."""
+    if ring.kind == rg.POLYEXT:
+        return [r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if not x.is_zero()} for r in rows]
+    if ring.kind == rg.RATIONALS:
+        return [r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if x} for r in rows]
+    # ints: a row without zeros is read in one call
+    return [
+        r if isinstance(r, dict) else dict(enumerate(r)) if 0 not in r else {j: x for j, x in enumerate(r) if x}
+        for r in rows
+    ]
+
+
 def _det_over_z(ring, rows, polys):
-    """Determinant of scalars of ``ring``, or with ``polys`` of MultiPoly
-    entries over ``ring`` (a tower flattened to one level of parameters
-    U).  Modular entries are lifted to [0, m), each row over Q is scaled
-    by the lcm of its denominators, and the value over Z or Z[U], by
-    ``_bareiss_int`` or :func:`det_packed`, is mapped back and divided
-    once by the product of the row scales."""
+    """Determinant of nonempty dict rows of scalars of ``ring``, or with
+    ``polys`` of MultiPoly entries over ``ring`` (a tower flattened to one
+    level of parameters U).  Modular entries are lifted to [0, m), each
+    row over Q is scaled by the lcm of its denominators, and the value
+    over Z or Z[U], by ``_bareiss_int`` or :func:`det_packed`, is mapped
+    back and divided once by the product of the row scales."""
     base = rg.scalar_base(ring)
     tower = polys and ring.kind == rg.POLYEXT
     scale = 1
     lifted = []
     for row in rows:
         if tower:
-            row = [flatten_extension(a) for a in row]
+            row = {j: flatten_extension(a) for j, a in row.items()}
         if polys and base.kind == rg.MODULAR:
-            row = [lift_poly(a) for a in row]
+            row = {j: lift_poly(a) for j, a in row.items()}
         if base.kind == rg.RATIONALS:
-            c = math.lcm(*(x.denominator for a in row for x in (a.terms.values() if polys else (a,))))
+            c = math.lcm(*(x.denominator for a in row.values() for x in (a.terms.values() if polys else (a,))))
             scale *= c
-            row = [a.map_coefficients(lambda x: (x * c).numerator, rg.ZZ) if polys else (a * c).numerator for a in row]
-        lifted.append(list(row))
+            row = {
+                j: a.map_coefficients(lambda x: (x * c).numerator, rg.ZZ) if polys else (a * c).numerator
+                for j, a in row.items()
+            }
+        lifted.append(row)
 
     def back(x):
         x = rg.val_convert(rg.ZZ, base, x)
@@ -98,80 +132,92 @@ def _det_over_z(ring, rows, polys):
 
     if not polys:
         return back(_bareiss_int(lifted))
-    sparse = [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in lifted]
-    value = det_packed(sparse, list(range(len(rows))), lifted[0][0].nvars)
+    value = det_packed(lifted, list(range(len(rows))), next(iter(lifted[0].values())).nvars)
     if base != rg.ZZ:
         value = value.map_coefficients(back, base)
-    return unflatten_extension(value, ring, rows[0][0].nvars) if tower else value
+    return unflatten_extension(value, ring, next(iter(rows[0].values())).nvars) if tower else value
 
 
 def _bareiss_int(m):
-    """Determinant of a square list of int rows, eliminated in place by the
-    sparse fraction-free elimination of the module docstring.
+    """Determinant of a square list of dict rows {column: nonzero int},
+    columns 0, ..., n - 1, eliminated in place by the sparse
+    fraction-free elimination of the module docstring.
 
-    ``nz[i]`` holds the live columns where row i is nonzero and
-    ``holders[j]`` the live rows that are nonzero in column j, both exact
-    through fill-in and cancellation; ``scale[i]`` is P_s, the pivot row
-    i was last divided by; ``perm[r] = c`` records each pivot, and its
-    sign is the sign of the row and column orders.  An entry outside
-    ``nz[i]`` is zero, so a fill-in entry takes the update formula with
-    v_j = 0 and is never zero.
+    The keys of row i are the live columns where it is nonzero, and
+    ``holders[j]`` holds the live rows that are nonzero in column j, both
+    exact through fill-in and cancellation; ``live`` lists the live
+    columns and ``held`` their holders, in the same order.  ``scale[i]``
+    is P_s, the pivot row i was last divided by: 1 before its first
+    update, which then skips the division.  ``perm[r] = c`` records each
+    pivot, and its sign is the sign of the row and column orders.  A
+    column that row i lacks is zero there, so a fill-in entry takes the
+    update formula with v_j = 0 and is never zero.
     """
     n = len(m)
-    nz = [{j for j, x in enumerate(row) if x} for row in m]
     holders = [set() for _ in m]
-    for i, cols in enumerate(nz):
-        for j in cols:
+    for i, row in enumerate(m):
+        for j in row:
             holders[j].add(i)
     live = list(range(n))
+    held = list(holders)
     scale = [1] * n
     perm = [0] * n
     prev = 1
-    count = lambda j: len(holders[j])
-    size = lambda i: len(nz[i])
+    size = lambda i: len(m[i])
     for _ in range(n):
-        c = min(live, key=count)
-        col = holders[c]
+        counts = list(map(len, held))
+        k = counts.index(min(counts))
+        c = live.pop(k)
+        col = held.pop(k)
         if not col:
             return 0
-        r = min(col, key=size)
-        col.discard(r)
-        live.remove(c)
+        if len(col) == 1:
+            r = col.pop()
+        else:
+            r = min(col, key=size)
+            col.discard(r)
         perm[r] = c
-        prow, pnz, s = m[r], nz[r], scale[r]
+        prow, s = m[r], scale[r]
         if s != prev:
-            for j in pnz:
-                q, rem = divmod(prev * prow[j], s)
+            for j, v in prow.items():
+                q, rem = divmod(prev * v, s)
                 if rem:
                     raise _inexact(s, rem)
                 prow[j] = q
-        pnz.discard(c)
-        for j in pnz:
+        piv = prow.pop(c)
+        for j in prow:
             holders[j].discard(r)
-        piv = prow[c]
+        pcols = prow.keys()
         for i in col:
-            row, rnz, s = m[i], nz[i], scale[i]
-            vc = row[c]
-            rnz.discard(c)
-            fill = pnz - rnz
-            if not rnz <= pnz:
-                for j in rnz - pnz:
+            row, s = m[i], scale[i]
+            vc = row.pop(c)
+            # entries of row outside pcols, counted down as the loop meets
+            # its columns; they are only rescaled
+            extra = len(row) - len(prow)
+            get = row.get
+            for j, pv in prow.items():
+                v = get(j)
+                if v is None:
+                    extra += 1
+                    q = -vc * pv
+                    holders[j].add(i)
+                else:
+                    q = piv * v - vc * pv
+                if s != 1:
+                    q, rem = divmod(q, s)
+                    if rem:
+                        raise _inexact(s, rem)
+                if q:
+                    row[j] = q
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+            if extra:
+                for j in row.keys() - pcols:
                     q, rem = divmod(piv * row[j], s)
                     if rem:
                         raise _inexact(s, rem)
                     row[j] = q
-            for j in pnz:
-                q, rem = divmod(piv * row[j] - vc * prow[j], s)
-                if rem:
-                    raise _inexact(s, rem)
-                row[j] = q
-                if not q:
-                    rnz.discard(j)
-                    holders[j].discard(i)
-            if fill:
-                rnz |= fill
-                for j in fill:
-                    holders[j].add(i)
             scale[i] = piv
         prev = piv
     return prev if _permutation_sign(perm) > 0 else -prev
@@ -339,15 +385,22 @@ def _permutation_sign(perm):
 
 
 def det_payload_auto(ring, rows):
-    """Determinant of a square payload matrix: single-nonzero rows and
-    columns are stripped and the rest goes to :func:`det_bareiss` (over
-    Z[U], to :func:`det_packed` at every block size)."""
-    n = len(rows)
-    sparse = [{j: v for j, v in enumerate(r) if not rg.val_is_zero(ring, v)} for r in rows]
-    factor, sign, rows_alive, cols_alive = strip_single_entries(sparse, n, ring)
-    if not rows_alive:
-        return rg.val_neg(ring, factor) if sign < 0 else factor
-    out = rg.val_mul(ring, factor, det_bareiss(ring, [[rows[i][j] for j in cols_alive] for i in rows_alive]))
+    """Determinant of a square payload matrix, rows as for :func:`det_bareiss`.
+
+    Over a polynomial extension, where :func:`det_packed` runs, rows and
+    columns with one nonzero entry are stripped first and the rest is
+    re-indexed; over Z, Q and Z/m the rows go to :func:`det_bareiss` as
+    they are, since the kernel's pivot rule takes single-entry columns
+    first.  The value is the stripped factor (one where nothing is
+    stripped) times the determinant of the rest, on every ring.
+    """
+    factor, sign = rg.val_one(ring), 1
+    if ring.kind == rg.POLYEXT:
+        rows = _sparse_rows(ring, rows)
+        factor, sign, rows_alive, cols_alive = strip_single_entries(rows, len(rows), ring)
+        at = {c: k for k, c in enumerate(cols_alive)}
+        rows = [{at[c]: v for c, v in rows[i].items() if c in at} for i in rows_alive]
+    out = rg.val_mul(ring, factor, det_bareiss(ring, rows))
     return rg.val_neg(ring, out) if sign < 0 else out
 
 
@@ -363,7 +416,10 @@ def det_poly_matrix(mat):
         return _cofactor(mat, list(range(n)), list(range(n)), ring, nv)
     if all(a.is_constant() for row in mat for a in row):
         return MultiPoly.constant(ring, nv, det_bareiss(ring, [[a.constant_value() for a in row] for row in mat]))
-    return _det_over_z(ring, mat, True)
+    rows = [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in mat]
+    if not all(rows):
+        return MultiPoly.zero(ring, nv)
+    return _det_over_z(ring, rows, True)
 
 
 def _cofactor(mat, rows, cols, ring, nv):

@@ -21,7 +21,8 @@ A product, or a determinant, whose degree needs more room is computed at
 a wider width, and its operands are repacked to it; no exponent is
 capped.  The layout is private to this module.  The determinant engine
 gets keys through :func:`shared_keys` and hands them back through
-:func:`from_keys`, and only relies on keys adding under multiplication.
+:func:`from_keys`, and the Macaulay build places its rows' terms by key
+sums; both only rely on keys adding under multiplication.
 
 ``terms`` is the public view: a dict from exponent tuples to
 coefficients.  A polynomial built from such a dict keeps it and packs it

@@ -27,9 +27,11 @@ values at integer s, as in Manocha and Canny ("Multipolynomial resultant
 algorithms", J. Symb. Comput. 15, 1993).  It has integer coefficients in
 the coefficients of the forms, so it commutes with specialization and
 has degree at most sum_i deg_s(f_i) prod_{j != i} d_j in s.  The Macaulay
-matrices are built once over Z[s]; at s = 0, 1, -1, 2, -2, ... their
-entries are evaluated and the integer ratio det M / det M' taken, and
-the samples are interpolated (see :func:`interpolate`).  A point where
+matrices are built once over Z[s], each nonzero entry kept as its list
+of integer coefficients; at s = 0, 1, -1, 2, -2, ... every entry is
+evaluated by Horner's rule into a sparse integer row, zeros left out, the
+integer ratio det M / det M' is taken on those rows, and the samples are
+interpolated (see :func:`interpolate`).  A point where
 det M' vanishes is skipped.  The degree of det M'(s) is at most the sum
 over the reduced rows of their largest deg_s; more such points than that
 show that det M'(s) = 0, and every further point is then computed by
@@ -62,6 +64,7 @@ from .mpoly import (
     isobaric_part,
     monomials_of_degree,
     poly_exact_div,
+    shared_keys,
     via_lift,
     weight_valuation,
     zariski_weight_vector,
@@ -83,14 +86,18 @@ __all__ = [
 class MacaulaySystem:
     """The numerator/denominator matrix pair for one signature.
 
-    Row p holds the multiple of f_i whose pure-power term lands in column
-    p, so perturbing every f_i by t * X_i^{d_i} adds t to the diagonal.
+    Row p is X^{gamma_p - d_i e_i} f_i, gamma_p the monomial of column p
+    and f_i the first form whose pure power X_i^{d_i} divides it, as a
+    sparse dict {column: nonzero payload}.  Its pure-power term lands in
+    column p, so perturbing every f_i by t * X_i^{d_i} adds t to the
+    diagonal.  Each determinant is taken on fresh dicts, so the system
+    can be sampled again.
     """
 
     sig: DegreeSignature
     ring: object
     cols: list
-    rows: list  # dense rows of payloads, aligned with cols
+    rows: list  # dict rows {column position: nonzero payload}, aligned with cols
     row_slot: list  # which f_i produced each row
     reduced: list  # positions belonging to the reduced submatrix M'
 
@@ -103,11 +110,22 @@ class MacaulaySystem:
         return det_payload_auto(self.ring, self._shifted(self.reduced, t))
 
     def _shifted(self, positions, t):
-        sub = [[self.rows[i][j] for j in positions] for i in positions]
+        """Fresh dict rows of the submatrix on ``positions``, re-indexed
+        from 0, with t added on the diagonal."""
+        if len(positions) == len(self.rows):
+            sub = [dict(row) for row in self.rows]
+        else:
+            at = {p: k for k, p in enumerate(positions)}
+            sub = [{at[j]: v for j, v in self.rows[p].items() if j in at} for p in positions]
         if t:
-            shift = rg.val_from_int(self.ring, t)
+            ring = self.ring
+            shift = rg.val_from_int(ring, t)
             for k, row in enumerate(sub):
-                row[k] = rg.val_add(self.ring, row[k], shift)
+                v = rg.val_add(ring, row[k], shift) if k in row else shift
+                if rg.val_is_zero(ring, v):
+                    del row[k]
+                else:
+                    row[k] = v
         return sub
 
 
@@ -120,29 +138,41 @@ def _validate_system(fs, sig):
 
 
 def build_macaulay(fs, sig):
-    """Macaulay matrices at the critical degree for a validated system."""
+    """Macaulay matrices at the critical degree for a validated system.
+
+    The rows are built on the packed monomial keys of :mod:`elimkit.mpoly`,
+    where the key of a product of monomials is the sum of their keys: the
+    key of gamma is sum_j gamma_j key(X_j), and the term X^beta of f_i
+    lands in row p at column colpos[key(gamma_p) - d_i key(X_i) + key(beta)].
+    Coefficients that a form stores as zero are skipped, so every entry
+    is nonzero.
+    """
     ring = fs[0].ring
     n = sig.nvars
     d = sig.degrees
     nu = sig.critical_degree
     cols = monomials_of_degree(n, nu)
-    colpos = {e: p for p, e in enumerate(cols)}
-    zero = rg.val_zero(ring)
+    # X_1 + 2 X_2 + ... + n X_n: the coefficient of each key names its variable
+    variables = MultiPoly(rg.ZZ, n, {tuple(int(k == j) for k in range(n)): j + 1 for j in range(n)})
+    _, keys = shared_keys([variables, *fs], nu)
+    unit = [0] * n
+    for k, j in keys[0].items():
+        unit[j - 1] = k
+    forms = [{k: c for k, c in f.items() if not rg.val_is_zero(ring, c)} for f in keys[1:]]
+    colkeys = [sum(map(int.__mul__, gamma, unit)) for gamma in cols]
+    colpos = {k: p for p, k in enumerate(colkeys)}
     rows = []
     row_slot = []
     reduced = []
     for p, gamma in enumerate(cols):
-        i = next(j for j in range(n) if gamma[j] >= d[j])
-        shift = list(gamma)
-        shift[i] -= d[i]
-        row = [zero] * len(cols)
+        slots = [j for j in range(n) if gamma[j] >= d[j]]
+        i = slots[0]
+        shift = colkeys[p] - d[i] * unit[i]
         # the targets shift + beta of one row are distinct, so each entry
         # is assigned once and never added to
-        for beta, c in fs[i].terms.items():
-            row[colpos[tuple(a + b for a, b in zip(shift, beta))]] = c
-        rows.append(row)
+        rows.append({colpos[shift + b]: c for b, c in forms[i].items()})
         row_slot.append(i + 1)
-        if sum(1 for j in range(n) if gamma[j] >= d[j]) >= 2:
+        if len(slots) >= 2:
             reduced.append(p)
     return MacaulaySystem(sig=sig, ring=ring, cols=cols, rows=rows, row_slot=row_slot, reduced=reduced)
 
@@ -231,9 +261,7 @@ def _by_interpolation(fs, sig, ms):
     p = math.prod(sig.degrees)
     degree = sum(_s_degree(f) * (p // d) for f, d in zip(fs, sig.degrees))
     # each nonzero entry once, as its integer coefficients lowest first
-    entries = [
-        {j: _int_coefficients(c) for j, c in enumerate(row) if not c.is_zero()} for row in ms.rows
-    ]
+    entries = [{j: _int_coefficients(c) for j, c in row.items()} for row in ms.rows]
     reduced = set(ms.reduced)
     skips = sum(
         max((len(c) - 1 for j, c in entries[i].items() if j in reduced), default=0) for i in reduced
@@ -243,7 +271,7 @@ def _by_interpolation(fs, sig, ms):
         x = (k + 1) // 2 * (1 if k % 2 else -1)
         k += 1
         if zeros <= skips:
-            values = [_horner_row(row, x, len(ms.cols)) for row in entries]
+            values = [_horner_row(row, x) for row in entries]
             at = MacaulaySystem(sig, rg.ZZ, ms.cols, values, ms.row_slot, ms.reduced)
             den = at.denominator_det()
             if den:
@@ -260,7 +288,7 @@ def _by_interpolation(fs, sig, ms):
 
 def _s_degree(f):
     """Largest degree in the parameter among the coefficients of f over Z[s]."""
-    return max(e for c in f.terms.values() for (e,) in c.terms)
+    return max((e for c in f.terms.values() for (e,) in c.terms), default=0)
 
 
 def _int_coefficients(c):
@@ -270,14 +298,16 @@ def _int_coefficients(c):
     return out
 
 
-def _horner_row(row, x, ncols):
-    dense = [0] * ncols
+def _horner_row(row, x):
+    """The dict row of the nonzero values at x of a row of coefficient lists."""
+    out = {}
     for j, coeffs in row.items():
         v = 0
         for c in reversed(coeffs):
             v = v * x + c
-        dense[j] = v
-    return dense
+        if v:
+            out[j] = v
+    return out
 
 
 def gcp_resultant(fs, sig):

@@ -232,7 +232,7 @@ def test_int_kernel_matches_rational_bareiss():
             fs.append(MultiPoly(rg.ZZ, sig.nvars, {e: c for e, c in terms.items() if c}))
         ms = build_macaulay(fs, sig)
         for positions in (range(len(ms.rows)), ms.reduced):
-            rows = [[ms.rows[i][j] for j in positions] for i in positions]
+            rows = [[ms.rows[i].get(j, 0) for j in positions] for i in positions]
             want = det_bareiss(rg.QQ, [[Fraction(x) for x in r] for r in rows])
             got = det_bareiss(rg.ZZ, rows)
             assert type(got) is int and got == want
@@ -279,7 +279,7 @@ def macaulay_pair(rnd, degrees, drop_first_power=False):
         terms[power] = 0 if drop_first_power and k == 0 else rnd.choice((-2, -1, 1, 3))
         fs.append(MultiPoly(rg.ZZ, sig.nvars, {e: c for e, c in terms.items() if c}))
     ms = build_macaulay(fs, sig)
-    return [[[ms.rows[i][j] for j in positions] for i in positions] for positions in (range(len(ms.rows)), ms.reduced)]
+    return [[[ms.rows[i].get(j, 0) for j in positions] for i in positions] for positions in (range(len(ms.rows)), ms.reduced)]
 
 
 def shuffled_block_diagonal(rnd, a, b):
