@@ -1,8 +1,9 @@
 """Exact determinants, every one taken over Z or Z[U].
 
-A determinant is a polynomial with integer coefficients in its entries,
-so :func:`det_bareiss` computes it over Z or Z[U] and maps the value back
-into any accepted ring, Z/m with zero divisors included.  A matrix is a
+A determinant is a polynomial with integer coefficients in its entries
+and linear in each row, so :func:`det_bareiss` takes the rows of any
+other ring, Z/m with zero divisors included, through
+:func:`~elimkit.mpoly.to_integers` with degree 1 per row.  A matrix is a
 list of sparse rows, dicts {column: nonzero payload} over columns
 0, ..., n - 1; a row given as a list of payloads is read into that form
 once, at the entry.  Below the entry two elimination engines see only
@@ -52,11 +53,9 @@ pure-power Macaulay matrices collapse to nothing.
 
 from __future__ import annotations
 
-import math
-
 from . import ring as rg
 from .errors import NotDivisible
-from .mpoly import MultiPoly, flatten_extension, from_keys, lift_poly, shared_keys, unflatten_extension
+from .mpoly import MultiPoly, flatten_extension, from_keys, shared_keys, to_integers, unflatten_extension
 
 __all__ = [
     "det_bareiss",
@@ -73,7 +72,7 @@ def det_bareiss(ring, rows):
 
     Each row is a list of payloads or a dict {column: nonzero payload}
     over columns 0, ..., n - 1.  List rows are read into dicts here;
-    dict rows are handed on as they are, and over Z and Z/m the kernel
+    dict rows are handed on as they are, and over Z the kernel
     eliminates them in place, so a caller that needs them again passes
     copies.
     """
@@ -92,9 +91,7 @@ def _sparse_rows(ring, rows):
     """``rows`` with every list row read into a dict of its nonzero entries."""
     if ring.kind == rg.POLYEXT:
         return [r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if not x.is_zero()} for r in rows]
-    if ring.kind == rg.RATIONALS:
-        return [r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if x} for r in rows]
-    # ints: a row without zeros is read in one call
+    # ints and fractions: a row without zeros is read in one call
     return [
         r if isinstance(r, dict) else dict(enumerate(r)) if 0 not in r else {j: x for j, x in enumerate(r) if x}
         for r in rows
@@ -103,39 +100,20 @@ def _sparse_rows(ring, rows):
 
 def _det_over_z(ring, rows, polys):
     """Determinant of nonempty dict rows of scalars of ``ring``, or with
-    ``polys`` of MultiPoly entries over ``ring`` (a tower flattened to one
-    level of parameters U).  Modular entries are lifted to [0, m), each
-    row over Q is scaled by the lcm of its denominators, and the value
-    over Z or Z[U], by ``_bareiss_int`` or :func:`det_packed`, is mapped
-    back and divided once by the product of the row scales."""
-    base = rg.scalar_base(ring)
-    tower = polys and ring.kind == rg.POLYEXT
-    scale = 1
-    lifted = []
-    for row in rows:
-        if tower:
-            row = {j: flatten_extension(a) for j, a in row.items()}
-        if polys and base.kind == rg.MODULAR:
-            row = {j: lift_poly(a) for j, a in row.items()}
-        if base.kind == rg.RATIONALS:
-            c = math.lcm(*(x.denominator for a in row.values() for x in (a.terms.values() if polys else (a,))))
-            scale *= c
-            row = {
-                j: a.map_coefficients(lambda x: (x * c).numerator, rg.ZZ) if polys else (a * c).numerator
-                for j, a in row.items()
-            }
-        lifted.append(row)
-
-    def back(x):
-        x = rg.val_convert(rg.ZZ, base, x)
-        return x / scale if scale != 1 else x
-
+    ``polys`` of MultiPoly entries over ``ring``.  The rows go through
+    :func:`~elimkit.mpoly.to_integers` with degree 1 each, since a
+    determinant is linear in each row; the value over Z or Z[U], by
+    ``_bareiss_int`` or :func:`det_packed` (a tower flattened to one
+    level of parameters), is mapped back by its ``back``."""
+    nvars = next(iter(rows[0].values())).nvars if polys else 0
+    zring, rows, back = to_integers(ring, rows, [1] * len(rows))
     if not polys:
-        return back(_bareiss_int(lifted))
-    value = det_packed(lifted, list(range(len(rows))), next(iter(lifted[0].values())).nvars)
-    if base != rg.ZZ:
-        value = value.map_coefficients(back, base)
-    return unflatten_extension(value, ring, next(iter(rows[0].values())).nvars) if tower else value
+        return back(_bareiss_int(rows))
+    tower = zring.kind == rg.POLYEXT
+    if tower:
+        rows = [{j: flatten_extension(a) for j, a in row.items()} for row in rows]
+    value = det_packed(rows, list(range(len(rows))), next(iter(rows[0].values())).nvars)
+    return back(unflatten_extension(value, zring, nvars) if tower else value)
 
 
 def _bareiss_int(m):

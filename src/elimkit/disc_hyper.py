@@ -1,14 +1,16 @@
 """Discriminant of a single homogeneous hypersurface.
 
 The normalization is d^{a(n,d)} * Disc(f) = Res(d_1 f, ..., d_n f) with
-a(n,d) = ((d-1)^n - (-1)^n)/d.  The division is exact over Z, so inputs
-with modular coefficients are lifted, computed, and reduced back.
+a(n,d) = ((d-1)^n - (-1)^n)/d.  The division is exact over Z, so every
+form goes through :func:`~elimkit.mpoly.to_integers` first, with degree
+:func:`disc_hyper_degree` (n for :func:`quadric_disc`).
 """
 
 from __future__ import annotations
 
 from . import ring as rg
 from .determinants import det_bareiss
+from .disc_points import _substitution_over_z
 from .errors import (
     DegreeTooLow,
     IdentityFailed,
@@ -20,12 +22,12 @@ from .mpoly import (
     DegreeSignature,
     MultiPoly,
     form_degrees,
+    forms_to_integers,
     generic_system,
     is_homogeneous,
     isobaric_part,
     partial_derivative,
     substitution_degree,
-    via_lift,
     weight_valuation,
     zariski_weight_vector,
 )
@@ -75,11 +77,12 @@ def disc_hyper(f):
     """Res of the n partial derivatives, divided by d^{a(n,d)}."""
     d = _degree_of(f)
     n = f.nvars
-    if rg.scalar_base(f.ring).kind == rg.MODULAR:
-        return via_lift(lambda lifted: disc_hyper(lifted[0]), [f])
-    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
-    res = resultant(partials, DegreeSignature(n, (d - 1,) * n))
-    return rg.exact_divide(res, rg.element(res.ring, d ** a_exponent(n, d)))
+    ring = f.ring
+    zring, (zf,), back = forms_to_integers([f], [disc_hyper_degree(n, d)])
+    partials = [partial_derivative(zf, i) for i in range(1, n + 1)]
+    res = resultant(partials, DegreeSignature(n, (d - 1,) * n)).value
+    value = rg.val_exact_divide(zring, res, rg.val_from_int(zring, d ** a_exponent(n, d)))
+    return rg.RingElement(ring, back(value))
 
 
 def quadric_disc(f):
@@ -92,29 +95,20 @@ def quadric_disc(f):
     if h is None or h == "any" or h != 2:
         raise NotQuadratic(f"need a homogeneous quadratic, got degree {h!r}")
     n = f.nvars
-    if rg.scalar_base(f.ring).kind == rg.MODULAR:
-        return via_lift(lambda lifted: quadric_disc(lifted[0]), [f])
     ring = f.ring
+    zring, (zf,), back = forms_to_integers([f], [n])
 
-    def coeff(i, j):
+    def entry(i, j):
         e = [0] * n
         e[i] += 1
         e[j] += 1
-        return f.coefficient_of(tuple(e))
+        c = zf.coefficient_of(tuple(e))
+        return rg.val_add(zring, c, c) if i == j else c
 
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = coeff(i, j)
-            if i == j:
-                c = rg.val_add(ring, c, c)
-            row.append(c)
-        rows.append(row)
-    det = rg.RingElement(ring, det_bareiss(ring, rows))
+    det = det_bareiss(zring, [[entry(i, j) for j in range(n)] for i in range(n)])
     if n % 2:
-        det = rg.exact_divide(det, rg.element(ring, 2))
-    return det
+        det = rg.val_exact_divide(zring, det, rg.val_from_int(zring, 2))
+    return rg.RingElement(ring, back(det))
 
 
 def disc_times_bar(f):
@@ -136,18 +130,23 @@ def disc_times_bar(f):
 
 
 def disc_hyper_basechange(f, gs):
-    """K with Disc(f(g_1,...,g_n)) = Disc(f)^{d^{n-1}} Res(g)^{m(m-1)^{n-1}} K."""
+    """K with Disc(f(g_1,...,g_n)) = Disc(f)^{d^{n-1}} Res(g)^{m(m-1)^{n-1}} K,
+    of degree n(md-1)^{n-1} - n(d(m-1))^{n-1} in the coefficients of f
+    and m times that in those of the g_j jointly."""
     m = _degree_of(f)
     n = f.nvars
     d = substitution_degree(gs, f, n)
     if d < 1:
         raise SignatureMismatch("substitution degree must be at least 1")
+    ring = f.ring
+    fdegree = n * (m * d - 1) ** (n - 1) - n * (d * (m - 1)) ** (n - 1)
+    (f,), gs, back = _substitution_over_z([f], gs, [fdegree, m * fdegree])
     composed = f.substitute(gs)
     disc_fg = disc_hyper(composed)
     disc_f = disc_hyper(f)
     res_g = resultant(gs, DegreeSignature(n, (d,) * n))
     denom = disc_f ** (d ** (n - 1)) * res_g ** (m * (m - 1) ** (n - 1))
-    return rg.exact_divide(disc_fg, denom)
+    return rg.RingElement(ring, back(rg.exact_divide(disc_fg, denom).value))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import ring as rg
 from .errors import (
@@ -77,7 +78,8 @@ __all__ = [
     "flatten_extension",
     "unflatten_extension",
     "lift_poly",
-    "via_lift",
+    "to_integers",
+    "forms_to_integers",
     "evaluate_coefficients",
     "poly_content",
 ]
@@ -1052,45 +1054,76 @@ def _ext_nvars(ext):
     return len(ext.variables) + (_ext_nvars(ext.base) if ext.base.kind == rg.POLYEXT else 0)
 
 
-def _lift_ring(ring):
-    if ring.kind == rg.MODULAR:
-        return rg.ZZ
-    if ring.kind == rg.POLYEXT:
-        return rg.polyext(_lift_ring(ring.base), ring.variables)
-    return ring
+def to_integers(ring, groups, degrees):
+    """(zring, zgroups, back): the one step from Z/m and Q to the integers.
+
+    ``groups`` are dicts {key: payload}, one per form or matrix row, of
+    elements of ``ring`` or polynomials over it.  The value to compute has
+    integer coefficients in them and degree ``degrees[i]`` in group i.
+    ``zring`` is ``ring`` over Z (extensions and towers keep their
+    variables), ``zgroups`` the dicts mapped to it, zeros dropped, and
+    ``back`` maps a value over ``zring`` (a payload, or a polynomial over
+    it) to the value over ``ring``.  Over Z/m scalars are lifted to
+    [0, m) and ``back`` reduces; over Q group i is scaled by the lcm c_i
+    of its denominators and ``back`` divides once by prod_i c_i^{degrees[i]}.
+    """
+    base = rg.scalar_base(ring)
+    if base.kind == rg.INTEGERS:
+        return ring, groups, lambda value: value
+    up = _rebased(ring, rg.ZZ)
+    down = {image: level for level, image in up.items()}
+    if base.kind == rg.MODULAR:
+        reduce = lambda x: x % base.modulus
+        return up[ring], [_mapped(g, reduce, up) for g in groups], lambda value: _map_payload(value, reduce, down)
+    scales = [math.lcm(*(x.denominator for a in g.values() for x in _scalars(a))) for g in groups]
+    divisor = math.prod(c**degree for c, degree in zip(scales, degrees))
+    zgroups = [_mapped(g, lambda x, c=c: x.numerator * (c // x.denominator), up) for g, c in zip(groups, scales)]
+    return up[ring], zgroups, lambda value: _map_payload(value, lambda x: Fraction(x, divisor), down)
 
 
-def _lift_payload(ring, a):
-    if ring.kind == rg.MODULAR:
-        return a % ring.modulus
-    if ring.kind == rg.POLYEXT:
-        lifted = _lift_ring(ring)
-        return MultiPoly(
-            lifted.base,
-            a.nvars,
-            {e: _lift_payload(ring.base, c) for e, c in a.terms.items()},
-        )
-    return a
+def forms_to_integers(fs, degrees):
+    """(zring, the forms over it, back) by :func:`to_integers` on their terms."""
+    zring, groups, back = to_integers(fs[0].ring, [f.terms for f in fs], degrees)
+    if zring is not fs[0].ring:
+        fs = [MultiPoly(zring, f.nvars, terms) for f, terms in zip(fs, groups)]
+    return zring, fs, back
+
+
+def _rebased(ring, base):
+    """{each ring of the tower ``ring``: the same ring over the scalars ``base``}."""
+    if ring.kind != rg.POLYEXT:
+        return {ring: base}
+    levels = _rebased(ring.base, base)
+    levels[ring] = rg.polyext(levels[ring.base], ring.variables)
+    return levels
+
+
+def _scalars(a):
+    """The scalars inside a payload, through polynomials of any depth."""
+    return [x for c in a.terms.values() for x in _scalars(c)] if isinstance(a, MultiPoly) else [a]
+
+
+def _map_payload(a, fn, levels):
+    """``a`` with ``fn`` applied to every scalar in it, and each polynomial
+    in it moved to the image of its ring in ``levels``."""
+    if not isinstance(a, MultiPoly):
+        return fn(a)
+    ring = levels[a.ring]
+    if a._keys is None:
+        return MultiPoly(ring, a.nvars, _mapped(a._terms, fn, levels))
+    return from_keys(ring, a.nvars, _mapped(a._keys, fn, levels), a._width)
+
+
+def _mapped(items, fn, levels):
+    """{key: mapped payload} of a dict of payloads, zeros dropped."""
+    out = {k: _map_payload(a, fn, levels) for k, a in items.items()}
+    return {k: v for k, v in out.items() if not (v.is_zero() if isinstance(v, MultiPoly) else v == 0)}
 
 
 def lift_poly(f):
-    """Canonically lift modular coefficients to Z (recursively through extensions)."""
-    lifted = _lift_ring(f.ring)
-    if lifted == f.ring:
-        return f
-    return MultiPoly(lifted, f.nvars, {e: _lift_payload(f.ring, c) for e, c in f.terms.items()})
-
-
-def via_lift(compute, fs):
-    """compute(lifted forms) reduced back to the modular ring of ``fs``.
-
-    A value over Z/m (or an extension of it) is defined as the reduction
-    of the value at the canonical lift to Z; this is how it is computed
-    wherever the route needs an exact division by an integer.
-    """
-    ring = fs[0].ring
-    value = compute([lift_poly(f) for f in fs])
-    return rg.RingElement(ring, rg.val_convert(value.ring, ring, value.value))
+    """f over Z or Z[U] by :func:`to_integers`: modular coefficients lifted
+    to [0, m), rational ones times the lcm of their denominators."""
+    return forms_to_integers([f], [1])[1][0]
 
 
 def evaluate_coefficients(f, values):

@@ -13,16 +13,17 @@ interpolated (see :func:`interpolate_at_zero`).  Both routes agree with
 the generic computation under every specialization, which is what pins
 the value down.
 
-Modular coefficients are canonically lifted to Z, computed there, and
-reduced back; this is also how the value is defined in that case.
-Rational coefficients are cleared as well: each f_i is scaled by the lcm
-c_i of its denominators, the resultant of the scaled forms is computed
-over Z, and it is divided once by prod_i c_i^{prod_{j != i} d_j}, since
-the resultant is homogeneous of that degree in the coefficients of f_i.
-So over Z, Q and Z/m every determinant is taken over Z.
+Over Z/m, Q and their polynomial extensions the forms go through
+:func:`~elimkit.mpoly.to_integers` first, with degree prod_{j != i} d_j
+for f_i, since the resultant has integer coefficients and is homogeneous
+of that degree in the coefficients of f_i (Jouanolou, "Le formalisme du
+resultant", Adv. Math. 90, 1991).  Modular coefficients are lifted to Z,
+which is also how the value is defined there; rational ones are cleared
+form by form, and the value over Z is divided once by the product of
+the scales.  So every determinant is taken over Z or Z[U].
 
 Over a ring with one parameter, Z[s], Q[s] or Z/m[s] (the last two
-cleared or lifted to Z[s] as above), the resultant is found from its
+reaching Z[s] as above), the resultant is found from its
 values at integer s, as in Manocha and Canny ("Multipolynomial resultant
 algorithms", J. Symb. Comput. 15, 1993).  It has integer coefficients in
 the coefficients of the forms, so it commutes with specialization and
@@ -60,12 +61,12 @@ from .mpoly import (
     dehomogenize,
     evaluate_coefficients,
     flatten_extension,
+    forms_to_integers,
     generic_system,
     isobaric_part,
     monomials_of_degree,
     poly_exact_div,
     shared_keys,
-    via_lift,
     weight_valuation,
     zariski_weight_vector,
 )
@@ -206,7 +207,7 @@ def resultant(fs, sig, use_fast_paths=True):
     fs = list(fs)
     ring = _validate_system(fs, sig)
     n = sig.nvars
-    if any(f.is_zero() for f in fs):
+    if any(_vanishes(ring, f) for f in fs):
         return rg.RingElement(ring, rg.val_zero(ring))
     if n == 1:
         # Res(c * X1^d) = c
@@ -215,42 +216,25 @@ def resultant(fs, sig, use_fast_paths=True):
         diag = _diagonal_value(fs, sig)
         if diag is not None:
             return rg.RingElement(ring, diag)
-    if rg.scalar_base(ring).kind == rg.MODULAR:
-        return via_lift(lambda lifted: resultant(lifted, sig, use_fast_paths), fs)
-    one_parameter = ring.kind == rg.POLYEXT and len(ring.variables) == 1
-    if ring == rg.QQ or (one_parameter and ring.base == rg.QQ):
-        return _over_integers(lambda scaled: resultant(scaled, sig, use_fast_paths), fs, sig)
+    p = math.prod(sig.degrees)
+    zring, fs, back = forms_to_integers(fs, [p // d for d in sig.degrees])
     ms = build_macaulay(fs, sig)
-    if one_parameter and ring.base == rg.ZZ:
-        return rg.RingElement(ring, _by_interpolation(fs, sig, ms))
-    den = ms.denominator_det()
-    if rg.val_is_nzd(ring, den):
-        num = ms.numerator_det()
-        return rg.RingElement(ring, rg.val_exact_divide(ring, num, den))
-    return gcp_resultant(fs, sig)
+    if zring.kind == rg.POLYEXT and zring.base == rg.ZZ and len(zring.variables) == 1:
+        value = _by_interpolation(fs, sig, ms)
+    else:
+        den = ms.denominator_det()
+        if rg.val_is_nzd(zring, den):
+            value = rg.val_exact_divide(zring, ms.numerator_det(), den)
+        else:
+            value = gcp_resultant(fs, sig).value
+    return rg.RingElement(ring, back(value))
 
 
-def _over_integers(compute, fs, sig):
-    """Res over Q or Q[s] from compute(the forms c_i f_i), a resultant over Z or Z[s].
-
-    c_i is the lcm of the denominators in f_i; the resultant is
-    homogeneous of degree prod_{j != i} d_j in the coefficients of f_i.
-    """
-    ring = fs[0].ring
-    nested = ring.kind == rg.POLYEXT
-    zring = rg.polyext(rg.ZZ, ring.variables) if nested else rg.ZZ
-    scaled, divisor = [], 1
-    for f, d in zip(fs, sig.degrees):
-        inner = [x for p in f.terms.values() for x in (p.terms.values() if nested else (p,))]
-        c = math.lcm(*(x.denominator for x in inner))
-        terms = {
-            e: p.map_coefficients(lambda x: (x * c).numerator, rg.ZZ) if nested else (p * c).numerator
-            for e, p in f.terms.items()
-        }
-        scaled.append(MultiPoly(zring, f.nvars, terms))
-        divisor *= c ** (math.prod(sig.degrees) // d)
-    value = rg.val_convert(zring, ring, compute(scaled).value)
-    return rg.RingElement(ring, rg.val_exact_divide(ring, value, rg.val_from_int(ring, divisor)))
+def _vanishes(ring, f):
+    """True when every coefficient that f stores is zero."""
+    if ring.kind == rg.POLYEXT:
+        return all(c.is_zero() for c in f.terms.values())
+    return not any(f.terms.values())
 
 
 def _by_interpolation(fs, sig, ms):
@@ -321,24 +305,21 @@ def gcp_resultant(fs, sig):
     """
     fs = list(fs)
     ring = _validate_system(fs, sig)
-    if any(f.is_zero() for f in fs):
+    if any(_vanishes(ring, f) for f in fs):
         return rg.RingElement(ring, rg.val_zero(ring))
-    if rg.scalar_base(ring).kind == rg.MODULAR:
-        return via_lift(lambda lifted: gcp_resultant(lifted, sig), fs)
-    if ring == rg.QQ:
-        return _over_integers(lambda scaled: gcp_resultant(scaled, sig), fs, sig)
+    p = math.prod(sig.degrees)
+    zring, fs, back = forms_to_integers(fs, [p // d for d in sig.degrees])
     ms = build_macaulay(fs, sig)
 
     def sample(t):
         den = ms.denominator_det(t)
-        if not rg.val_is_nzd(ring, den):
+        if not rg.val_is_nzd(zring, den):
             return None
-        return rg.val_exact_divide(ring, ms.numerator_det(t), den)
+        return rg.val_exact_divide(zring, ms.numerator_det(t), den)
 
-    p = math.prod(sig.degrees)
     degree = sum(p // d for d in sig.degrees)
-    value = interpolate_at_zero(ring, sample, degree, len(ms.reduced), monic=True)
-    return rg.RingElement(ring, value)
+    value = interpolate_at_zero(zring, sample, degree, len(ms.reduced), monic=True)
+    return rg.RingElement(ring, back(value))
 
 
 def interpolate_at_zero(ring, sample, degree, skips, monic=False):

@@ -383,6 +383,18 @@ class TestKFactorCommand:
         expected = base_change_K(fs, DegreeSignature(2, (2,)), gs)
         assert json.loads(result.output)["value"] == str(expected.value)
 
+    def test_over_z12_is_the_value_over_z_reduced(self):
+        """Disc(f) Res(g) is a zero divisor mod 12 here, so K can only come
+        from the forms over Z: it is 1588329 there, and 9 mod 12."""
+        f = {(2, 0): 6, (1, 1): 3, (0, 2): 1}
+        g1 = {(2, 0): 7, (0, 2): 6}
+        g2 = {(2, 0): 6, (1, 1): 9}
+        result = run(["k-factor"], int_doc(2, [f, g1, g2], ring={"kind": "modular", "modulus": 12}))
+        assert result.exit_code == 0
+        gs = [MultiPoly(rg.ZZ, 2, g1), MultiPoly(rg.ZZ, 2, g2)]
+        over_z = base_change_K([MultiPoly(rg.ZZ, 2, f)], DegreeSignature(2, (2,)), gs)
+        assert json.loads(result.output)["value"] == str(over_z.value % 12)
+
     def test_wrong_block_count(self):
         doc = int_doc(2, [{(2, 0): 1}, {(1, 1): 1}])
         assert run(["k-factor"], doc).exit_code == 2

@@ -1,6 +1,7 @@
 """The sparse Macaulay system against its definition, and forms that
 store zero coefficients."""
 
+import importlib
 import random
 
 import pytest
@@ -136,3 +137,19 @@ def test_stored_zero_coefficients(ring):
         assert not fs[0].is_zero()
         for compute in (resultant, gcp_resultant):
             assert rg.val_is_zero(ring, compute(fs, sig).value)
+
+
+@pytest.mark.parametrize("ring", [rg.ZZ, rg.Zmod(12), ZS], ids=repr)
+def test_a_form_of_stored_zeros_builds_no_macaulay_system(ring, monkeypatch):
+    """The zero shortcut of resultant and gcp_resultant reads the stored
+    coefficients, so such a form gives 0 without a Macaulay system."""
+    resultant_module = importlib.import_module("elimkit.resultant")
+    calls = []
+    build = resultant_module.build_macaulay
+    monkeypatch.setattr(resultant_module, "build_macaulay", lambda *a: calls.append(1) or build(*a))
+    sig = DegreeSignature(2, (2, 2))
+    fs = random_forms(random.Random(13), ring, sig)
+    fs[1] = MultiPoly(ring, 2, {(2, 0): rg.val_zero(ring), (1, 1): rg.val_zero(ring)})
+    for compute in (resultant, gcp_resultant):
+        assert rg.val_is_zero(ring, compute(fs, sig).value)
+    assert calls == []

@@ -7,18 +7,27 @@ Z/12; the property test checks the same for every function built on a
 determinant, on forms drawn over Z.
 """
 
+import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import elimkit.ring as rg
-from elimkit.disc_hyper import disc_hyper, quadric_disc
-from elimkit.disc_points import disc_points, linear_forms_disc
-from elimkit.errors import PerturbationDegenerate
+from elimkit.disc_hyper import disc_hyper, disc_hyper_basechange, disc_hyper_degree, disc_times_bar, quadric_disc
+from elimkit.disc_points import (
+    base_change_K,
+    base_change_K_degree,
+    base_change_K_fdegree,
+    disc_points,
+    disc_points_degree,
+    linear_forms_disc,
+)
+from elimkit.errors import DivisionByZero, NotDivisible, PerturbationDegenerate
 from elimkit.jacobian import hess_det, jac_full, jac_minor
 from elimkit.mertens import lemmaA_product
 from elimkit.mpoly import DegreeSignature, MultiPoly, evaluate_coefficients, lift_poly, monomials_of_degree
-from elimkit.resultant import resultant
+from elimkit.resultant import gcp_resultant, resultant
 
 Z12 = rg.Zmod(12)
 MODULI = (4, 7, 12)
@@ -112,6 +121,9 @@ def test_resultant_and_disc_hyper_over_z_mod_m_are_the_lifts_reduced():
         (lambda fs: resultant(fs, DegreeSignature(2, (3, 2))), 2, (3, 2)),
         (lambda fs: disc_hyper(fs[0]), 2, (4,)),
         (lambda fs: disc_hyper(fs[0]), 3, (3,)),
+        (lambda fs: disc_times_bar(fs[0]), 3, (2,)),
+        (lambda fs: quadric_disc(fs[0]), 3, (2,)),
+        (lambda fs: disc_points(fs, DegreeSignature(3, (2, 2))), 3, (2, 2)),
     ]
     for k, (fn, n, degrees) in enumerate(cases):
         for _ in range(3):
@@ -121,6 +133,125 @@ def test_resultant_and_disc_hyper_over_z_mod_m_are_the_lifts_reduced():
                 reduced_fs = down(fs, ring)
                 want = reduced(fn([lift_poly(f) for f in reduced_fs]), ring)
                 assert fn(reduced_fs) == want, (k, m)
+
+
+def canonical_lifts(fs):
+    """Forms over Z/m lifted to Z, coefficient by coefficient, into [0, m)."""
+    return [MultiPoly(rg.ZZ, f.nvars, {e: c % f.ring.modulus for e, c in f.terms.items()}) for f in fs]
+
+
+def test_base_change_cofactors_over_z_mod_m_are_the_lifts_reduced():
+    """Both cofactors used to divide in Z/m and raise on about half of these
+    draws.  A draw is kept when the cofactor of the lifts exists over Z."""
+    bases = [
+        (lambda fs: base_change_K(fs[:1], DegreeSignature(2, (2,)), fs[1:]), (2, 2, 2), random.Random(1)),
+        (lambda fs: disc_hyper_basechange(fs[0], fs[1:]), (3, 2, 2), random.Random(2)),
+    ]
+    for k, (fn, degrees, rnd) in enumerate(bases):
+        checked = 0
+        for _ in range(4):
+            fs = [form([rnd.randint(-5, 5) for _ in monomials_of_degree(2, d)], 2, d) for d in degrees]
+            for m in MODULI:
+                ring = rg.Zmod(m)
+                reduced_fs = down(fs, ring)
+                if any(f.is_zero() for f in reduced_fs):
+                    continue
+                try:
+                    want = reduced(fn(canonical_lifts(reduced_fs)), ring)
+                except (DivisionByZero, NotDivisible):
+                    continue
+                assert fn(reduced_fs) == want, (k, m)
+                checked += 1
+        assert checked >= 6, k
+
+
+# -- rationals and rings of several parameters --------------------------------------
+
+def q_form(rnd, n, d):
+    """Coefficients a/b with a in -9..9 and b in 1..4, X1^d at 1."""
+    coeffs = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)) for _ in monomials_of_degree(n, d)[1:]]
+    return MultiPoly.from_terms(rg.QQ, n, zip(monomials_of_degree(n, d), [Fraction(1)] + coeffs))
+
+
+def test_values_over_q_scale_by_their_degrees():
+    """The value at (c_i f_i) is prod_i c_i^{deg_i} times the value at f,
+    deg_i being the degree that each function hands to the clearing of Q."""
+    rnd = random.Random(30)
+    sig_222, sig_32, sig_22 = SIG_222, DegreeSignature(2, (3, 2)), DegreeSignature(3, (2, 2))
+    sig_k = DegreeSignature(2, (2,))
+    hyper_k = 2 * (3 * 2 - 1) - 2 * (2 * 2)  # n(md-1)^{n-1} - n(d(m-1))^{n-1}, m = 3, d = 2
+    cases = [
+        ("resultant", lambda fs: resultant(fs, sig_222), [(3, 2)] * 3, [4, 4, 4]),
+        ("gcp_resultant", lambda fs: gcp_resultant(fs, sig_32), [(2, 3), (2, 2)], [2, 3]),
+        ("disc_points", lambda fs: disc_points(fs, sig_22), [(3, 2)] * 2, [disc_points_degree(sig_22, i) for i in (1, 2)]),
+        ("disc_hyper", lambda fs: disc_hyper(fs[0]), [(2, 4)], [disc_hyper_degree(2, 4)]),
+        ("quadric_disc", lambda fs: quadric_disc(fs[0]), [(3, 2)], [3]),
+        (
+            "base_change_K",
+            lambda fs: base_change_K(fs[:1], sig_k, fs[1:]),
+            [(2, 2)] * 3,
+            [base_change_K_fdegree(sig_k, 2, 1), base_change_K_degree(sig_k, 2)],
+        ),
+        ("disc_hyper_basechange", lambda fs: disc_hyper_basechange(fs[0], fs[1:]), [(2, 3), (2, 2), (2, 2)], [hyper_k, 3 * hyper_k]),
+    ]
+    for name, fn, shapes, degrees in cases:
+        fs = [q_form(rnd, n, d) for n, d in shapes]
+        # a denominator that no coefficient has changes the lcm that clears each group
+        scales = [Fraction(rnd.choice([-3, -2, 2, 3]), rnd.choice([5, 7])) for _ in degrees]
+        # the base changes scale every substitution form by the last scale
+        per_form = scales + [scales[-1]] * (len(fs) - len(scales))
+        scaled = [f.scale(c) for f, c in zip(fs, per_form)]
+        factor = math.prod(c**deg for c, deg in zip(scales, degrees))
+        assert fn(scaled) == fn(fs) * rg.RingElement(rg.QQ, factor), name
+
+
+SIG_32 = DegreeSignature(2, (3, 2))
+
+
+def affine_forms(rnd, ring, names):
+    """Forms of SIG_32 whose coefficients are a + b s + c t + ... over ``ring``,
+    a, b, c, ... in -5..5, X1^d at 1."""
+    k = len(names)
+    units = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    fs = []
+    for d in SIG_32.degrees:
+        terms = {}
+        for e in monomials_of_degree(2, d):
+            items = [((0,) * k, 1 if e[0] == d else rnd.randint(-5, 5))] + [(u, rnd.randint(-5, 5)) for u in units]
+            terms[e] = MultiPoly.from_terms(ring, k, [(u, rg.val_from_int(ring, c)) for u, c in items])
+        fs.append(MultiPoly(rg.polyext(ring, names), 2, terms))
+    return fs
+
+
+def test_resultant_over_q_s_t_is_the_cleared_value():
+    """Over Q[s,t] the value is Res of the forms times c_i over Z[s,t],
+    divided by prod_i c_i^{prod_{j != i} d_j}."""
+    rnd = random.Random(31)
+    zst, qst = rg.polyext(rg.ZZ, ("s", "t")), rg.polyext(rg.QQ, ("s", "t"))
+    for _ in range(2):
+        zfs = affine_forms(rnd, rg.ZZ, ("s", "t"))
+        scales = [rnd.choice([2, 3, 6]) for _ in zfs]
+        qfs = [f.change_ring(qst).scale(rg.val_convert(rg.QQ, qst, Fraction(1, c))) for f, c in zip(zfs, scales)]
+        value = rg.val_convert(zst, qst, resultant(zfs, SIG_32).value)
+        divisor = math.prod(c ** (6 // d) for c, d in zip(scales, SIG_32.degrees))
+        want = value.scale(Fraction(1, divisor))
+        assert resultant(qfs, SIG_32).value.eq(want)
+
+
+def test_resultant_over_a_tower_is_the_lifted_value_reduced():
+    """Over Z/12[s][t] the value is Res over Z[s][t] of forms that reduce to
+    them, reduced."""
+    rnd = random.Random(32)
+    zs = rg.polyext(rg.ZZ, ("s",))
+    tower = rg.polyext(rg.polyext(Z12, ("s",)), ("t",))
+    for _ in range(2):
+        zfs = affine_forms(rnd, zs, ("t",))
+        # put s into the coefficients of t as well
+        s = MultiPoly.variable(rg.ZZ, 1, 1)
+        zfs = [f.map_coefficients(lambda c: c.add(c.map_coefficients(lambda p: p.mul(s)))) for f in zfs]
+        value = resultant(zfs, SIG_32)
+        got = resultant([f.change_ring(tower) for f in zfs], SIG_32)
+        assert got == reduced(value, tower)
 
 
 def test_resultant_over_z_s_specializes_at_integers():
